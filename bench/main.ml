@@ -850,10 +850,10 @@ let resilience_ladder =
   let module SE = Resilience.Solver_error in
   E.make ~id:"R1" ~title:"Resilience: serve-ladder degradation under budgets and faults"
     ~paper_claim:
-      "(ours; DESIGN.md §4d) when the tailored §2.5 LP cannot finish within budget, \
-       Theorems 1–2 justify degrading to G(n,α): first with the optimal-interaction \
-       remap (lossless by Theorem 1), then raw — every rung re-certified α-DP before \
-       release, with provenance recording what was tried"
+      "(ours; DESIGN.md §4d) by Theorem 1 the serve path needs no tailored §2.5 LP: \
+       G(n,α) with the consumer's optimal-interaction remap is optimal, and when that \
+       LP cannot finish within budget the ladder degrades to raw G(n,α) — every rung \
+       re-certified α-DP before release, with provenance recording what was tried"
     (fun () ->
       let alpha = q 1 2 in
       let n = 5 in
@@ -861,10 +861,9 @@ let resilience_ladder =
       let ok = ref true in
       let scenarios =
         [
-          ("no budget", None, None, S.Tailored);
-          (* 30 pivots: enough for the (smaller) interaction LP, not
-             for the tailored one — the ladder stops at the remap. *)
-          ("max-pivots 30", Some (fun () -> B.make ~max_pivots:30 ()), None, S.Geometric_remap);
+          ("no budget", None, None, S.Geometric_remap);
+          (* 3 pivots cannot finish the interaction LP. *)
+          ("max-pivots 3", Some (fun () -> B.make ~max_pivots:3 ()), None, S.Geometric_raw);
           ( "fault: exhaust every simplex site",
             None,
             Some
@@ -891,7 +890,8 @@ let resilience_ladder =
                 (Check.Invariants.alpha_dp ~alpha (M.matrix s.S.mechanism))
             in
             if p.S.rung <> expect || not certified then ok := false;
-            (* Theorem 1: the remap rung must match the tailored optimum. *)
+            (* Theorem 1: the remap rung must match the tailored optimum,
+               which the §2.5 LP computes here as the oracle. *)
             if p.S.rung = S.Geometric_remap && not (Rat.equal s.S.loss tailored.Om.loss) then
               ok := false;
             [
@@ -912,8 +912,10 @@ let resilience_ladder =
       ( (if !ok then E.Pass else E.Fail "a rung, certification, or Theorem-1 equality failed"),
         buf_table table
         ^ Printf.sprintf
-            "  degradations counted this run: %d (counter \"resilience.degradations\"); \
+            "  tailored §2.5 LP optimum (oracle, not a rung): %s\n\
+            \  degradations counted this run: %d (counter \"resilience.degradations\"); \
              with no budget and no plan the solver takes its zero-overhead path.\n"
+            (Rat.to_string tailored.Om.loss)
             (Obs.counter_value "resilience.degradations") ))
 
 (* ================================================================= *)

@@ -318,7 +318,7 @@ let serve_cmd =
         Printf.printf "rung       : %s%s\n"
           (S.rung_to_string p.S.rung)
           (match p.S.rung with
-           | S.Tailored -> " (the §2.5 LP optimum)"
+           | S.Tailored -> " (retired rung)"
            | S.Geometric_remap -> " (G(n,α) + optimal interaction, Theorem 1)"
            | S.Geometric_raw -> " (raw G(n,α), Theorem 2)");
         Printf.printf "loss       : %s (= %s)\n" (Rat.to_string s.S.loss)
@@ -340,9 +340,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve a consumer within a budget (--deadline-ms / --max-pivots / --max-bits), \
-          degrading from the tailored LP to the geometric mechanism rather than failing; \
-          the released mechanism is re-certified and carries its provenance.")
+         "Serve a consumer on G(n,α) plus its optimal-interaction remap (the tailored \
+          optimum, by Theorem 1) within a budget (--deadline-ms / --max-pivots / \
+          --max-bits), degrading to raw G(n,α) rather than failing when the remap's LP \
+          runs out; the released mechanism is re-certified and carries its provenance.")
     term
 
 (* ----------------------------------------------------------------- *)

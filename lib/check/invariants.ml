@@ -24,13 +24,19 @@ type report = {
 let passed r = r.diagnostics = []
 let all_passed rs = List.for_all passed rs
 
+(* The text is [Rat.to_string] of each cell, a space after each and a
+   newline after each row, written straight into the buffer. *)
 let matrix_digest m =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create 1024 in
   Array.iter
     (fun row ->
       Array.iter
         (fun x ->
-          Buffer.add_string buf (Rat.to_string x);
+          Buffer.add_string buf (Bigint.to_string (Rat.num x));
+          if not (Rat.is_integer x) then begin
+            Buffer.add_char buf '/';
+            Buffer.add_string buf (Bigint.to_string (Rat.den x))
+          end;
           Buffer.add_char buf ' ')
         row;
       Buffer.add_char buf '\n')
@@ -55,7 +61,7 @@ let check_alpha_range name alpha =
 (* Row-stochasticity                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let row_stochastic m =
+let row_stochastic_with ~digest m =
   let rule = "row-stochastic" in
   let rows = Array.length m in
   if rows = 0 then
@@ -64,8 +70,9 @@ let row_stochastic m =
   else begin
     let diags = ref [] in
     let checked = ref 0 in
-    (* Binding data: smallest entry and the row sum witnesses. *)
-    let min_entry = ref m.(0).(0) and min_at = ref (0, 0) in
+    (* Binding data: the smallest entry and where it sits; none until a
+       square row is read (a ragged first row may be empty). *)
+    let min_entry = ref None in
     Array.iteri
       (fun i row ->
         incr checked;
@@ -81,10 +88,9 @@ let row_stochastic m =
           Array.iteri
             (fun r x ->
               incr checked;
-              if Rat.compare x !min_entry < 0 then begin
-                min_entry := x;
-                min_at := (i, r)
-              end;
+              (match !min_entry with
+               | Some (y, _) when Rat.compare x y >= 0 -> ()
+               | _ -> min_entry := Some (x, (i, r)));
               if Rat.sign x < 0 then
                 diags :=
                   D.error ~rule
@@ -104,22 +110,24 @@ let row_stochastic m =
               :: !diags
         end)
       m;
-    let mi, mr = !min_at in
     finish ~rule
-      ~params:[ ("rows", string_of_int rows); ("digest", matrix_digest m) ]
+      ~params:[ ("rows", string_of_int rows); ("digest", digest) ]
       ~checked:!checked
       ~tight:
-        (("min_entry", Rat.to_string !min_entry)
-         :: ("min_entry_at", Printf.sprintf "(%d,%d)" mi mr)
-         :: [])
+        (match !min_entry with
+         | Some (x, (mi, mr)) ->
+           [ ("min_entry", Rat.to_string x); ("min_entry_at", Printf.sprintf "(%d,%d)" mi mr) ]
+         | None -> [])
       !diags
   end
+
+let row_stochastic m = row_stochastic_with ~digest:(matrix_digest m) m
 
 (* ------------------------------------------------------------------ *)
 (* Definition 2: alpha-differential privacy                            *)
 (* ------------------------------------------------------------------ *)
 
-let alpha_dp ~alpha m =
+let alpha_dp_with ~digest ~alpha m =
   let rule = "alpha-dp" in
   check_alpha_range "Invariants.alpha_dp" alpha;
   let n = Array.length m - 1 in
@@ -128,61 +136,73 @@ let alpha_dp ~alpha m =
   (* Strongest supported alpha: min over adjacent pairs of
      min(a/b, b/a); zero when a zero sits next to a non-zero. *)
   let strongest = ref Rat.one and strongest_at = ref (0, 0) in
+  let note i r ratio =
+    if Rat.compare ratio !strongest < 0 then begin
+      strongest := ratio;
+      strongest_at := (i, r)
+    end
+  in
+  let violation i r a b side lhs rhs msg =
+    diags :=
+      D.error ~rule
+        ~witness:
+          (D.rats [ ("alpha", alpha); ("x_i", a); ("x_succ", b); ("lhs", lhs); ("rhs", rhs) ]
+          @ [ ("side", side) ])
+        (D.Adjacent_pair { row = i; col = r })
+        msg
+      :: !diags
+  in
+  let check_products i r a b =
+    (* alpha * a <= b  (the released mass cannot drop too fast) *)
+    let lhs = Rat.mul alpha a in
+    if Rat.compare lhs b > 0 then
+      violation i r a b "alpha*x_i <= x_succ" lhs b
+        "Definition 2 violated: alpha*x(i,r) > x(i+1,r)";
+    (* alpha * b <= a *)
+    let lhs = Rat.mul alpha b in
+    if Rat.compare lhs a > 0 then
+      violation i r a b "alpha*x_succ <= x_i" lhs a
+        "Definition 2 violated: alpha*x(i+1,r) > x(i,r)"
+  in
   for i = 0 to n - 1 do
     for r = 0 to n do
       let a = m.(i).(r) and b = m.(i + 1).(r) in
       checked := !checked + 2;
-      let witness side lhs rhs =
-        D.rats
-          [ ("alpha", alpha); ("x_i", a); ("x_succ", b); ("lhs", lhs); ("rhs", rhs) ]
-        @ [ ("side", side) ]
-      in
-      (* alpha * a <= b  (the released mass cannot drop too fast) *)
-      if Rat.compare (Rat.mul alpha a) b > 0 then
-        diags :=
-          D.error ~rule
-            ~witness:(witness "alpha*x_i <= x_succ" (Rat.mul alpha a) b)
-            (D.Adjacent_pair { row = i; col = r })
-            "Definition 2 violated: alpha*x(i,r) > x(i+1,r)"
-          :: !diags;
-      (* alpha * b <= a *)
-      if Rat.compare (Rat.mul alpha b) a > 0 then
-        diags :=
-          D.error ~rule
-            ~witness:(witness "alpha*x_succ <= x_i" (Rat.mul alpha b) a)
-            (D.Adjacent_pair { row = i; col = r })
-            "Definition 2 violated: alpha*x(i+1,r) > x(i,r)"
-          :: !diags;
-      (match (Rat.is_zero a, Rat.is_zero b) with
-       | true, true -> ()
-       | true, false | false, true ->
-         if Rat.sign !strongest > 0 then begin
-           strongest := Rat.zero;
-           strongest_at := (i, r)
-         end
-       | false, false ->
-         let ratio = if Rat.compare a b <= 0 then Rat.div a b else Rat.div b a in
-         if Rat.compare ratio !strongest < 0 then begin
-           strongest := ratio;
-           strongest_at := (i, r)
-         end)
+      if Rat.sign a > 0 && Rat.sign b > 0 then begin
+        (* For positive masses both constraints hold iff
+           alpha <= min(a/b, b/a), so the one division that tracks the
+           binding ratio also decides the pair; the products are only
+           formed, for the witness, when it fails. *)
+        let ratio = if Rat.compare a b <= 0 then Rat.div a b else Rat.div b a in
+        if Rat.compare alpha ratio > 0 then check_products i r a b;
+        note i r ratio
+      end
+      else begin
+        check_products i r a b;
+        match (Rat.is_zero a, Rat.is_zero b) with
+        | true, true -> ()
+        | true, false | false, true -> note i r Rat.zero
+        | false, false -> note i r (if Rat.compare a b <= 0 then Rat.div a b else Rat.div b a)
+      end
     done
   done;
   let si, sr = !strongest_at in
   finish ~rule
     ~params:
-      [ ("n", string_of_int n); ("alpha", Rat.to_string alpha); ("digest", matrix_digest m) ]
+      [ ("n", string_of_int n); ("alpha", Rat.to_string alpha); ("digest", digest) ]
     ~checked:!checked
     ~tight:
       [ ("privacy_level", Rat.to_string !strongest);
         ("binding_pair", Printf.sprintf "rows %d/%d col %d" si (si + 1) sr) ]
     !diags
 
+let alpha_dp ~alpha m = alpha_dp_with ~digest:(matrix_digest m) ~alpha m
+
 (* ------------------------------------------------------------------ *)
 (* Theorem 2: derivability condition                                   *)
 (* ------------------------------------------------------------------ *)
 
-let derivability ~alpha m =
+let derivability_with ~digest ~alpha m =
   let rule = "derivable" in
   check_alpha_range "Invariants.derivability" alpha;
   let n = Array.length m - 1 in
@@ -239,12 +259,14 @@ let derivability ~alpha m =
   let bc, bi = !min_at in
   finish ~rule
     ~params:
-      [ ("n", string_of_int n); ("alpha", Rat.to_string alpha); ("digest", matrix_digest m) ]
+      [ ("n", string_of_int n); ("alpha", Rat.to_string alpha); ("digest", digest) ]
     ~checked:!checked
     ~tight:
       [ ("min_slack", match !min_slack with Some s -> Rat.to_string s | None -> "none");
         ("binding_triple", Printf.sprintf "col %d mid-row %d" bc bi) ]
     !diags
+
+let derivability ~alpha m = derivability_with ~digest:(matrix_digest m) ~alpha m
 
 (* ------------------------------------------------------------------ *)
 (* Constructive factorization T = G^{-1} M                             *)
@@ -411,6 +433,26 @@ let lemma3_transition ~n ~alpha ~beta =
 (* ------------------------------------------------------------------ *)
 (* Aggregates                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The three rules hash the same matrix text; the audit renders and
+   hashes it once. Row-stochasticity goes first: the later rules index
+   a square matrix. *)
+let audit_release ~alpha m =
+  check_alpha_range "Invariants.audit_release" alpha;
+  if Array.length m < 2 then invalid_arg "Invariants.audit_release: fewer than two rows";
+  let digest = matrix_digest m in
+  let rec run certs = function
+    | [] -> Ok (List.rev certs)
+    | rule :: rest -> (
+      let r = rule () in
+      match r.certificate with Some c -> run (c :: certs) rest | None -> Error r)
+  in
+  run []
+    [
+      (fun () -> row_stochastic_with ~digest m);
+      (fun () -> alpha_dp_with ~digest ~alpha m);
+      (fun () -> derivability_with ~digest ~alpha m);
+    ]
 
 let check_mech ?alpha m =
   Obs.span ~attrs:[ ("rows", Obs.Int (Array.length m)) ] "check.mech" @@ fun () ->

@@ -76,6 +76,17 @@ val check_mech : ?alpha:Rat.t -> Rat.t array array -> report list
 val check_derivable : alpha:Rat.t -> Rat.t array array -> report list
 (** {!row_stochastic}, {!derivability}, {!factorization}. *)
 
+val audit_release :
+  alpha:Rat.t -> Rat.t array array -> (certificate list, report) result
+(** The audit every served release passes, at serve time and again on
+    each load from a disk store: {!row_stochastic}, then {!alpha_dp},
+    then {!derivability}. The matrix is hashed once for all three
+    certificates, each byte-identical to the standalone rule's.
+    [Ok certificates] in that order, or [Error r] with the first
+    failing report; rules after a failure are not run.
+    @raise Invalid_argument unless [0 < alpha < 1] and [m] has at
+    least two rows (n >= 1, as every request's). *)
+
 (** {1 Serialization} *)
 
 val certificate_to_json : certificate -> Json.t

@@ -422,6 +422,29 @@ let scan_unix_write ~file stripped =
     unix_write_fns
 
 (* ------------------------------------------------------------------ *)
+(* Rule: the unvalidated mechanism constructor                         *)
+(* ------------------------------------------------------------------ *)
+
+(* [Mech.Mechanism.unsafe_of_audited] skips [make]'s validation because
+   its one caller, [Engine.Compiled.of_matrix], has just run the release
+   audit on the same matrix. Anywhere else it would build a mechanism
+   that nothing certified. *)
+let unaudited_exempt file =
+  let dir = Filename.basename (Filename.dirname file) and base = Filename.basename file in
+  (dir = "mech" && base = "mechanism.ml") || (dir = "engine" && base = "compiled.ml")
+
+let scan_unaudited ~file stripped =
+  if unaudited_exempt file then []
+  else
+    List.map
+      (fun off ->
+        D.error ~rule:"lint/unaudited-mechanism"
+          (D.Source_line { file; line = line_of_offset stripped off })
+          "Mechanism.unsafe_of_audited outside lib/engine/compiled.ml builds a mechanism \
+           no audit certified; use Mechanism.make")
+      (word_occurrences stripped "unsafe_of_audited")
+
+(* ------------------------------------------------------------------ *)
 (* File and tree drivers                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -431,6 +454,7 @@ let scan_source ?(ban_stdout = false) ?(ban_assert = false) ?(ban_unix_write = f
   scan_obj_magic ~file stripped
   @ scan_catch_all ~file stripped
   @ scan_float_eq ~file stripped
+  @ scan_unaudited ~file stripped
   @ (if ban_stdout then scan_print_stdout ~file stripped else [])
   @ (if ban_unix_write then scan_unix_write ~file stripped else [])
   @ (if ban_assert then scan_assert_false ~file ~original:src stripped else [])

@@ -28,7 +28,11 @@
       [Unix.single_write] / [..._substring] anywhere outside
       [lib/server/framing.ml], the one module that handles short
       writes, [EAGAIN], dead peers and the injected ["server.write"]
-      fault for the whole tree.
+      fault for the whole tree;
+    - [lint/unaudited-mechanism] — [Mech.Mechanism.unsafe_of_audited]
+      anywhere outside [lib/engine/compiled.ml], the one caller that
+      audits the matrix first (and [lib/mech/mechanism.ml], which
+      defines it).
 
     The scanner is line-accurate: every finding is a
     {!Diagnostic.t} with a [Source_line] location. *)

@@ -16,8 +16,8 @@ val solve_budgeted :
   Consumer.t ->
   (result, Lp.Solver_error.t) Stdlib.result
 (** The optimal interaction, or the typed reason the budgeted solve
-    stopped. Rung 2 of the degradation ladder ({!Serve}) runs this
-    against [G(n,α)]. When [solver] is given the solve runs through
+    stopped. The first rung of the degradation ladder ({!Serve})
+    runs this against [G(n,α)]. When [solver] is given the solve runs through
     that session and may warm-start from a cached same-shaped basis;
     warm optima share the exact loss but may be a different optimal
     interaction.

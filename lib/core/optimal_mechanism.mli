@@ -18,8 +18,9 @@ val solve_budgeted :
   Consumer.t ->
   (result, Lp.Solver_error.t) Stdlib.result
 (** Some optimal vertex, or the typed reason the solve stopped —
-    [Exhausted] when the budget (or an injected fault) ran out. The
-    degradation ladder in {!Serve} consumes the [Error] side. When
+    [Exhausted] when the budget (or an injected fault) ran out
+    ([dpopt optimal --max-pivots] reports it). Not on the serve path:
+    {!Serve} reaches this optimum through {!Optimal_interaction}. When
     [solver] is given the solve runs through that session (its basis
     cache warm-starts repeated same-shaped solves; [pricing]/[crash]
     are then session-owned and ignored here); warm optima share the

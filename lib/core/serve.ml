@@ -73,17 +73,13 @@ let provenance_to_json p =
     ]
 
 (* Re-verify a candidate through the independent analyzer before
-   release. Derivability is only demanded where it holds by
-   construction: a tailored LP vertex need not factor through G. *)
-let certify ~alpha ~derivable m =
-  let matrix = Mech.Mechanism.matrix m in
-  let reports =
-    [ Check.Invariants.row_stochastic matrix; Check.Invariants.alpha_dp ~alpha matrix ]
-    @ (if derivable then [ Check.Invariants.derivability ~alpha matrix ] else [])
-  in
-  match List.find_opt (fun r -> not (Check.Invariants.passed r)) reports with
-  | Some r -> Error r.Check.Invariants.rule
-  | None -> Ok (List.map (fun r -> r.Check.Invariants.rule) reports)
+   release. Both rungs are G(n,α) post-processed (by T or by the
+   identity), so the audit's Theorem-2 derivability rule holds by
+   construction. *)
+let certify ~alpha m =
+  match Check.Invariants.audit_release ~alpha (Mech.Mechanism.matrix m) with
+  | Ok certificates -> Ok (List.map (fun c -> c.Check.Invariants.cert_rule) certificates)
+  | Error r -> Error r.Check.Invariants.rule
 
 let spend_of_attempts attempts =
   List.fold_left
@@ -111,40 +107,23 @@ let serve ?budget ~alpha (consumer : Consumer.t) =
     Obs.incr "resilience.degradations";
     { attempted = rung; reason }
   in
-  (* Rung 1: the tailored §2.5 LP. *)
-  let tailored_failure =
-    match Optimal_mechanism.solve_budgeted ?budget ~alpha consumer with
+  let geometric = Mech.Geometric.matrix ~n ~alpha in
+  (* Rung 1: G(n,α) + the optimal-interaction remap — optimal for
+     every minimax consumer by Theorem 1. *)
+  let remap =
+    match Optimal_interaction.solve_budgeted ?budget ~deployed:geometric consumer with
     | Ok r -> (
-      match certify ~alpha ~derivable:false r.Optimal_mechanism.mechanism with
+      match certify ~alpha r.Optimal_interaction.induced with
       | Ok checks ->
-        Either.Left (release Tailored [] r.Optimal_mechanism.mechanism r.Optimal_mechanism.loss checks)
-      | Error rule -> Either.Right (degrade Tailored (Uncertified rule)))
-    | Error e -> Either.Right (degrade Tailored (Solver e))
+        Ok (release Geometric_remap [] r.Optimal_interaction.induced r.Optimal_interaction.loss checks)
+      | Error rule -> Error (degrade Geometric_remap (Uncertified rule)))
+    | Error e -> Error (degrade Geometric_remap (Solver e))
   in
-  match tailored_failure with
-  | Either.Left served -> served
-  | Either.Right first ->
-    let geometric = Mech.Geometric.matrix ~n ~alpha in
-    (* Rung 2: G(n,α) + the optimal-interaction remap (Theorem 1). *)
-    let remap_failure =
-      match Optimal_interaction.solve_budgeted ?budget ~deployed:geometric consumer with
-      | Ok r -> (
-        match certify ~alpha ~derivable:true r.Optimal_interaction.induced with
-        | Ok checks ->
-          Either.Left
-            (release Geometric_remap [ first ] r.Optimal_interaction.induced
-               r.Optimal_interaction.loss checks)
-        | Error rule -> Either.Right (degrade Geometric_remap (Uncertified rule)))
-      | Error e -> Either.Right (degrade Geometric_remap (Solver e))
-    in
-    (match remap_failure with
-    | Either.Left served -> served
-    | Either.Right second -> (
-      (* Rung 3: raw G(n,α) — no LP, universally optimal by Theorem 2. *)
-      match certify ~alpha ~derivable:true geometric with
-      | Ok checks ->
-        release Geometric_raw [ second; first ] geometric
-          (Consumer.minimax_loss consumer geometric)
-          checks
-      | Error rule ->
-        raise (Certification_failed { rung = rung_to_string Geometric_raw; rule })))
+  match remap with
+  | Ok served -> served
+  | Error first -> (
+    (* Rung 2: raw G(n,α) — no LP, universally optimal by Theorem 2. *)
+    match certify ~alpha geometric with
+    | Ok checks ->
+      release Geometric_raw [ first ] geometric (Consumer.minimax_loss consumer geometric) checks
+    | Error rule -> raise (Certification_failed { rung = rung_to_string Geometric_raw; rule }))

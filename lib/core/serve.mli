@@ -1,24 +1,30 @@
 (** The end-to-end "serve this consumer" path: budgeted solving with
     certified graceful degradation to the geometric mechanism.
 
-    The ladder has three rungs, each cheaper and more universal than
-    the one above it:
+    The ladder has two rungs, both built on [G(n,α)]:
 
-    + {b Tailored} — the §2.5 optimal-mechanism LP for this exact
-      consumer.
     + {b Geometric_remap} — [G(n,α)] composed with the consumer's
-      optimal interaction (§2.4.3): near-lossless by Theorem 1, and a
-      much smaller LP (no differential-privacy rows).
+      optimal interaction (§2.4.3). By Theorem 1 this is optimal for
+      every minimax consumer with a monotone loss: its loss equals the
+      §2.5 tailored LP's, exactly in ℚ, and the interaction LP is much
+      smaller (no differential-privacy rows).
     + {b Geometric_raw} — [G(n,α)] itself, no LP at all: the
       universally optimal mechanism of Theorems 1–2 and of
-      Ghosh–Roughgarden–Sundararajan's Bayesian counterpart.
+      Ghosh–Roughgarden–Sundararajan's Bayesian counterpart, served
+      without the consumer's remap.
+
+    The §2.5 tailored LP ({!Optimal_mechanism}) is not a rung: Theorem 1
+    makes it redundant on the serve path, and it remains the
+    reproduction path and the test oracle for the first rung's loss.
+    [Tailored] stays in {!rung} so that callers matching on it keep
+    compiling; {!serve} never returns it, and no release carries it.
 
     A rung is taken when its solve succeeds {e and} the produced matrix
-    re-verifies through {!Check.Invariants} (row-stochasticity and
-    Definition-2 α-DP on every rung; Theorem-2 derivability on the
-    geometric rungs, where it holds by construction). Exhaustion of the
+    re-verifies through {!Check.Invariants.audit_release}
+    (row-stochasticity, Definition-2 α-DP and Theorem-2 derivability,
+    which holds by construction on both rungs). Exhaustion of the
     shared {!Lp.Budget.t}, an injected fault, or a failed certificate
-    all degrade to the next rung — a degraded answer is still a
+    all degrade to the raw rung — a degraded answer is still a
     certified private answer. Every descent bumps the
     ["resilience.degradations"] counter.
 
@@ -26,7 +32,10 @@
     same consumer, budget outcome, and fault plan produce byte-identical
     {!provenance_to_string} output, which chaos tests assert. *)
 
-type rung = Tailored | Geometric_remap | Geometric_raw
+type rung =
+  | Tailored  (** retired: the §2.5 LP; {!serve} never returns it *)
+  | Geometric_remap
+  | Geometric_raw
 
 (** Why a rung was abandoned. *)
 type reason =
@@ -57,12 +66,15 @@ exception Certification_failed of { rung : string; rule : string }
     breakage cannot release an uncertified matrix. *)
 
 val serve : ?budget:Lp.Budget.t -> alpha:Rat.t -> Consumer.t -> served
-(** Walk the ladder; always returns a certified mechanism.
-    @raise Invalid_argument on a bad [alpha]
+(** Walk the ladder; always returns a certified mechanism on
+    [Geometric_remap] or [Geometric_raw].
+    @raise Invalid_argument on a bad [alpha], or when the consumer's
+    range has [n < 1]
     @raise Certification_failed if even raw [G(n,α)] fails checks *)
 
 val rung_to_string : rung -> string
-(** ["tailored"], ["geometric+remap"], ["geometric"]. *)
+(** ["tailored"], ["geometric+remap"], ["geometric"]. The first is a
+    retired value: no release carries it. *)
 
 val provenance_to_string : provenance -> string
 (** Single-line deterministic rendering, for logs and chaos tests. *)

@@ -45,44 +45,36 @@ let () =
       Some (Printf.sprintf "Compiled.Uncertified(key=%s,rule=%s)" key rule)
     | _ -> None)
 
-(* Independent re-audit of the released mechanism. Serve already
+(* Independent re-audit of the released matrix. Serve already
    certified it once; compiling re-runs the analyzer so the cached
    artifact carries the actual replayable certificates, not just the
    rule names, and so a cache can be audited without trusting the
-   ladder. Derivability is only demanded where it holds by
-   construction (the geometric rungs). *)
-let recertify ~key ~alpha (served : S.served) =
-  let matrix = M.matrix served.S.mechanism in
-  let reports =
-    [ I.row_stochastic matrix; I.alpha_dp ~alpha matrix ]
-    @
-    match served.S.provenance.S.rung with
-    | S.Tailored -> []
-    | S.Geometric_remap | S.Geometric_raw -> [ I.derivability ~alpha matrix ]
-  in
-  List.map
-    (fun (r : I.report) ->
-      match r.I.certificate with
-      | Some c -> c
-      | None -> raise (Uncertified { key; rule = r.I.rule }))
-    reports
+   ladder. *)
+let audit ~key ~alpha matrix =
+  match I.audit_release ~alpha matrix with
+  | Ok certificates -> certificates
+  | Error r -> raise (Uncertified { key; rule = r.I.rule })
 
 let compile ?budget ~alpha ~key consumer =
   Obs.span ~attrs:[ ("key", Obs.Str key) ] "engine.compile" @@ fun () ->
   let served = S.serve ?budget ~alpha consumer in
-  let certificates = recertify ~key ~alpha served in
+  let certificates = audit ~key ~alpha (M.matrix served.S.mechanism) in
   let sampler = sampler_of_mechanism served.S.mechanism in
   Obs.incr "engine.compiles";
   { key; served; certificates; sampler }
 
 (* The warm-restart entry point: a release reconstituted from outside
    the serve ladder (e.g. deserialized from a disk store) earns its
-   certificates through the exact same audit a fresh compile does, so
-   an artifact that skipped the solver still cannot exist uncertified.
-   Deliberately does not bump "engine.compiles": no solve happened. *)
-let of_served ~key ~alpha served =
-  let certificates = recertify ~key ~alpha served in
-  { key; served; certificates; sampler = sampler_of_mechanism served.S.mechanism }
+   certificates through the exact audit a fresh compile does, so an
+   artifact that skipped the solver still cannot exist uncertified.
+   The raw matrix becomes a mechanism only after the audit certified
+   it row-stochastic. Deliberately does not bump "engine.compiles": no
+   solve happened. *)
+let of_matrix ~key ~alpha ~loss ~provenance matrix =
+  let certificates = audit ~key ~alpha matrix in
+  let mechanism = M.unsafe_of_audited matrix in
+  let served = { S.mechanism; loss; provenance } in
+  { key; served; certificates; sampler = sampler_of_mechanism mechanism }
 
 let rung t = t.served.S.provenance.S.rung
 let loss t = t.served.S.loss

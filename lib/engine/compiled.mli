@@ -49,17 +49,26 @@ exception Uncertified of { key : string; rule : string }
 
 val compile : ?budget:Lp.Budget.t -> alpha:Rat.t -> key:string -> Minimax.Consumer.t -> t
 (** Run the serve ladder, re-verify the release through
-    {!Check.Invariants} (row-stochasticity and α-DP always; Theorem-2
-    derivability on geometric rungs), and build the alias tables.
+    {!Check.Invariants.audit_release} (row-stochasticity, α-DP and
+    Theorem-2 derivability), and build the alias tables.
     Emits an ["engine.compile"] span.
     @raise Uncertified if any re-verification fails *)
 
-val of_served : key:string -> alpha:Rat.t -> Minimax.Serve.served -> t
+val of_matrix :
+  key:string ->
+  alpha:Rat.t ->
+  loss:Rat.t ->
+  provenance:Minimax.Serve.provenance ->
+  Rat.t array array ->
+  t
 (** Admit an externally reconstituted release (e.g. one deserialized
     from a disk artifact store) through the exact audit {!compile}
-    applies: the release is re-verified via {!Check.Invariants} and the
-    alias tables are rebuilt, so the returned artifact carries freshly
-    replayed certificates rather than trusted ones. Never bumps
+    applies: the raw matrix is re-verified via
+    {!Check.Invariants.audit_release}, becomes a mechanism only once
+    that audit has certified it row-stochastic, and gets fresh alias
+    tables, so the returned artifact carries freshly replayed
+    certificates rather than trusted ones. [loss] and [provenance] are
+    taken as given; the caller checks the loss. Never bumps
     ["engine.compiles"] — no solve happened.
     @raise Uncertified if any re-verification fails *)
 

@@ -28,9 +28,12 @@ let validate matrix =
         row)
     matrix
 
+let unsafe_of_audited matrix =
+  { n = Array.length matrix - 1; matrix = Array.map Array.copy matrix }
+
 let make matrix =
   validate matrix;
-  { n = Array.length matrix - 1; matrix = Array.map Array.copy matrix }
+  unsafe_of_audited matrix
 
 let of_rows rows = make (Array.of_list (List.map Array.of_list rows))
 

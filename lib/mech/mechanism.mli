@@ -18,6 +18,15 @@ val make : Rat.t array array -> t
 (** Validates squareness, non-negativity, and unit row sums; copies
     its input. @raise Not_stochastic otherwise. *)
 
+val unsafe_of_audited : Rat.t array array -> t
+(** {!make} with no validation at all: squareness, non-negativity and
+    unit row sums are not checked. Its only caller is
+    [Engine.Compiled.of_matrix], which passes a matrix that
+    [Check.Invariants.audit_release] has just certified row-stochastic,
+    so verify-on-load does not sum each row twice; the
+    [lint/unaudited-mechanism] rule refuses any other call site.
+    Everyone else uses {!make}. Copies its input. *)
+
 val of_rows : Rat.t list list -> t
 (** List-of-rows convenience over {!make}. *)
 

@@ -134,6 +134,10 @@ let view_of g s =
 
 let format_tag = "dpsession"
 
+(* The checkpoint payload's frame version. It moves only when this
+   payload does, never with the artifact store's. *)
+let checkpoint_version = 1
+
 let payload t =
   let subscriber_json s =
     J.Obj
@@ -175,7 +179,7 @@ let checkpoint_now t =
     | exception F.Injected { site = "session.ledger"; _ } ->
       Obs.incr "session.checkpoint.failed"
     | () -> (
-      match Store.Frame.write ~path ~payload:(payload t) with
+      match Store.Frame.write ~version:checkpoint_version ~path ~payload:(payload t) with
       | Ok () -> Obs.incr "session.checkpoints"
       | Error _ -> Obs.incr "session.checkpoint.failed"))
 
@@ -287,7 +291,7 @@ let group_of_json ~seed json =
   Ok (gkey, { gkey; n; input; subs = sorted; epoch; chain; plan = None })
 
 let load_checkpoint ~seed path =
-  match Store.Frame.read ~path with
+  match Store.Frame.read ~version:checkpoint_version ~path with
   | Error e -> Error ("session checkpoint: " ^ Store.Frame.error_to_string e)
   | Ok raw -> (
     match J.of_string raw with

@@ -13,7 +13,6 @@ let error_to_string = function
   | Io msg -> "io: " ^ msg
 
 let magic = "DPST"
-let format_version = 1
 
 let add_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
@@ -27,10 +26,10 @@ let read_u32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let encode payload =
+let encode ~version payload =
   let buf = Buffer.create (String.length payload + 28) in
   Buffer.add_string buf magic;
-  add_u32 buf format_version;
+  add_u32 buf version;
   add_u32 buf (String.length payload);
   Buffer.add_string buf payload;
   let body = Buffer.contents buf in
@@ -42,13 +41,13 @@ let encode payload =
    version), version before checksum (a future-format entry must read
    as [Stale_version] even though its digest — computed by the future
    writer over different bytes — would also mismatch). *)
-let decode raw =
+let decode ~version raw =
   let total = String.length raw in
   if total < 28 then Error (Corrupt "truncated frame")
   else if String.sub raw 0 4 <> magic then Error Bad_magic
   else
-    let version = read_u32 raw 4 in
-    if version <> format_version then Error (Stale_version { got = version })
+    let got = read_u32 raw 4 in
+    if got <> version then Error (Stale_version { got })
     else
       let len = read_u32 raw 8 in
       if 12 + len + 16 <> total then Error (Corrupt "frame length mismatch")
@@ -85,9 +84,9 @@ let fsync_dir dirname =
         | exception Unix.Unix_error (e, _, _) ->
           Error (Io ("fsync dir: " ^ Unix.error_message e)))
 
-let write ~path ~payload =
+let write ~version ~path ~payload =
   let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let frame = encode payload in
+  let frame = encode ~version payload in
   match
     Out_channel.with_open_bin tmp (fun oc ->
         Out_channel.output_string oc frame;
@@ -104,7 +103,7 @@ let write ~path ~payload =
       Error (Io ("rename: " ^ Unix.error_message e))
     | () -> fsync_dir (Filename.dirname path))
 
-let read ~path =
+let read ~version ~path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | raw -> decode raw
+  | raw -> decode ~version raw
   | exception Sys_error m -> Error (Io ("read: " ^ m))

@@ -34,7 +34,11 @@ type t = {
 }
 
 let entry_suffix = ".dpa"
-let format_version = Frame.format_version
+(* The artifact payload's own version, apart from the session
+   checkpoints'. 2: every release sits on a geometric rung and carries
+   a derivability certificate; version-1 entries (which may hold the
+   retired tailored rung) read as [Stale_version] and recompile. *)
+let format_version = 2
 
 let dir t = t.dir
 let readonly t = t.readonly
@@ -48,7 +52,8 @@ let of_frame_error = function
   | Frame.Stale_version { got } -> Stale_version { got }
   | Frame.Io m -> Io m
 
-let payload_of_frame raw = Result.map_error of_frame_error (Frame.decode raw)
+let payload_of_frame raw =
+  Result.map_error of_frame_error (Frame.decode ~version:format_version raw)
 
 (* ------------------------------------------------------------------ *)
 (* Payload JSON                                                        *)
@@ -56,8 +61,9 @@ let payload_of_frame raw = Result.map_error of_frame_error (Frame.decode raw)
 
 let rung_to_string = S.rung_to_string
 
+(* "tailored" is not read back: no release carries the retired rung,
+   and entries written before its retirement are refused by version. *)
 let rung_of_string = function
-  | "tailored" -> Some S.Tailored
   | "geometric+remap" -> Some S.Geometric_remap
   | "geometric" -> Some S.Geometric_raw
   | _ -> None
@@ -290,11 +296,11 @@ let matrix_of_json json =
 
 (* A well-framed payload earns the right to be served by replaying the
    whole audit: the key must be canonical and reproduce the filename,
-   the matrix must re-certify through [Compiled.of_served] (which runs
-   [Check.Invariants] afresh), the stored certificates must equal the
-   freshly earned ones, and the stored loss must equal the minimax
-   loss recomputed from the consumer the key names — all exact in ℚ,
-   so equality is equality. *)
+   the matrix must be square of the key's size and re-certify through
+   [Compiled.of_matrix] (which runs [Check.Invariants] afresh), the
+   stored certificates must equal the freshly earned ones, and the
+   stored loss must equal the minimax loss recomputed from the consumer
+   the key names — all exact in ℚ, so equality is equality. *)
 let verify_payload ~expect_key payload =
   match J.of_string payload with
   | Error m -> Error (Corrupt ("unparseable payload: " ^ m))
@@ -313,29 +319,29 @@ let verify_payload ~expect_key payload =
     let* prov = field "provenance" json in
     let* provenance = provenance_of_json prov in
     let* matrix = matrix_of_json json in
+    let* () =
+      let size = req.Request.n + 1 in
+      if Array.length matrix = size && Array.for_all (fun row -> Array.length row = size) matrix
+      then Ok ()
+      else Error (Corrupt "matrix size does not match the key")
+    in
     let* certs = list_field "certificates" json in
     let* certificates = map_result certificate_of_json certs in
     match F.trip "store.verify" with
     | exception F.Injected { site = "store.verify"; _ } ->
       Error (Uncertified { rule = "injected" })
     | () -> (
-      match Mech.Mechanism.make matrix with
-      | exception Mech.Mechanism.Not_stochastic _ ->
-        Error (Uncertified { rule = "row-stochastic" })
-      | mechanism -> (
-        let served = { S.mechanism; loss; provenance } in
-        match Compiled.of_served ~key ~alpha:req.Request.alpha served with
-        | exception Compiled.Uncertified { rule; _ } -> Error (Uncertified { rule })
-        | c ->
-          if c.Compiled.certificates <> certificates then
-            Error (Corrupt "stored certificates disagree with replayed ones")
-          else
-            let recomputed =
-              Minimax.Consumer.minimax_loss (Request.consumer req) mechanism
-            in
-            if not (Rat.equal recomputed loss) then
-              Error (Uncertified { rule = "minimax-loss" })
-            else Ok (key, c))))
+      match Compiled.of_matrix ~key ~alpha:req.Request.alpha ~loss ~provenance matrix with
+      | exception Compiled.Uncertified { rule; _ } -> Error (Uncertified { rule })
+      | c ->
+        if c.Compiled.certificates <> certificates then
+          Error (Corrupt "stored certificates disagree with replayed ones")
+        else
+          let recomputed =
+            Minimax.Consumer.minimax_loss (Request.consumer req) c.Compiled.served.S.mechanism
+          in
+          if not (Rat.equal recomputed loss) then Error (Uncertified { rule = "minimax-loss" })
+          else Ok (key, c)))
 
 (* ------------------------------------------------------------------ *)
 (* Filesystem                                                          *)
@@ -452,7 +458,7 @@ let write t (c : Compiled.t) =
           Error (Io "injected fault at store.write")
         | () -> (
           let path = entry_path t ~key:c.Compiled.key in
-          match Frame.write ~path ~payload:(payload_of_artifact c) with
+          match Frame.write ~version:format_version ~path ~payload:(payload_of_artifact c) with
           | Error e -> Error (of_frame_error e)
           | Ok () ->
             Obs.incr "store.writes";

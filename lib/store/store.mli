@@ -20,9 +20,9 @@
 
     {b Verify-on-load — trust the math, not the file.} A well-framed
     entry is still not served until its release replays through
-    {!Check.Invariants} (via {!Engine.Compiled.of_served}): the
-    deserialized matrix must re-certify row-stochasticity and α-DP
-    (plus Theorem-2 derivability on geometric rungs), the freshly
+    {!Check.Invariants} (via {!Engine.Compiled.of_matrix}): the
+    deserialized matrix must have the key's size and re-certify
+    row-stochasticity, α-DP and Theorem-2 derivability, the freshly
     earned certificates must equal the stored ones byte for byte, the
     recomputed minimax loss must equal the stored loss, and the
     entry's canonical key must match both its filename and the
@@ -73,7 +73,11 @@ val error_to_string : error -> string
     ["corrupt: checksum mismatch"]. *)
 
 val format_version : int
-(** The on-disk frame version this build reads and writes. *)
+(** The artifact version this build writes into its frames and accepts
+    on load; any other reads as {!Stale_version} and falls through to
+    a compile, whose write-back replaces the entry. The store's own,
+    apart from the session checkpoints' (which share {!Frame} but not
+    this number). *)
 
 (** {1 Lifecycle} *)
 

@@ -7,8 +7,8 @@
    - solver sites ("simplex.phase1"/"simplex.phase2"): whatever fault
      fires inside the LP, [Minimax.Serve.serve] still returns a
      mechanism for each example consumer, its provenance names the
-     ladder rung taken, and [Check.Invariants] independently certifies
-     α-DP (plus Theorem-2 derivability on geometric rungs);
+     (geometric) ladder rung taken, and [Check.Invariants]
+     independently certifies α-DP and Theorem-2 derivability;
 
    - non-solver sites ("matrix.inverse", "mech.factor",
      "multilevel.stage", "dpdb.csv.row"): the injected fault surfaces
@@ -77,9 +77,9 @@ let certified_serve label plan ~budget =
         let m = Mech.Mechanism.matrix s.S.mechanism in
         let rung = s.S.provenance.S.rung in
         check (label ^ ": provenance names a rung") (S.rung_to_string rung <> "");
+        check (label ^ ": a geometric rung") (rung <> S.Tailored);
         check (label ^ ": alpha-dp certified") (I.passed (I.alpha_dp ~alpha m));
-        if rung <> S.Tailored then
-          check (label ^ ": derivability certified") (I.passed (I.derivability ~alpha m)))
+        check (label ^ ": derivability certified") (I.passed (I.derivability ~alpha m)))
     consumers
 
 let solver_matrix () =

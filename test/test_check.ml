@@ -106,6 +106,22 @@ let test_negative_entry_witness () =
    | _ -> Alcotest.fail "expected a cell location");
   Alcotest.check rat "entry witness" (q (-1) 2) (witness_rat "entry" neg)
 
+(* A ragged matrix, even one whose first row is empty, is refused with
+   a "not square" diagnostic per short row, by the standalone rule and
+   by the release audit alike. *)
+let test_not_square_witness () =
+  let ragged = [ [| [||]; [| q 1 2; q 1 2 |] |]; [| [| q 1 2; q 1 2 |]; [| Rat.one |] |] ] in
+  List.iter
+    (fun m ->
+      let r = I.row_stochastic m in
+      Alcotest.(check bool) "no certificate" true (r.certificate = None);
+      Alcotest.(check (list string)) "one short row" [ "matrix is not square" ]
+        (List.map (fun (d : D.t) -> d.message) r.diagnostics);
+      match I.audit_release ~alpha:(q 1 2) m with
+      | Error r' -> Alcotest.(check bool) "audit stops at row-stochastic" true (r' = r)
+      | Ok _ -> Alcotest.fail "ragged matrix certified")
+    ragged
+
 let test_dp_witness () =
   (* Perturbed G(2,1/2): row 1 becomes [1/6; 1/2; 1/3]. The first
      violated Definition-2 constraint is rows 0/1, column 0:
@@ -264,6 +280,16 @@ let test_lint_assert_false () =
   Alcotest.(check (list string)) "off by default" []
     (flagged "let f = function Some x -> x | None -> assert false\n")
 
+let test_lint_unaudited () =
+  let src = "let m = Mech.Mechanism.unsafe_of_audited x\n" in
+  let flagged file = rules (L.scan_source ~file src) in
+  Alcotest.(check (list string)) "flagged elsewhere" [ "lint/unaudited-mechanism" ]
+    (flagged "lib/store/store.ml");
+  Alcotest.(check (list string)) "the audited caller is exempt" []
+    (flagged "lib/engine/compiled.ml");
+  Alcotest.(check (list string)) "a namesake in another library is not" [ "lint/unaudited-mechanism" ]
+    (flagged "lib/store/compiled.ml")
+
 let test_lint_strip () =
   (* Nested comments, strings inside comments, char literals. *)
   let s = L.strip "a (* one (* two *) \"*)\" still *) b \"lit\" 'c' '\\n' 'a" in
@@ -291,10 +317,95 @@ let test_lint_own_tree_clean () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Properties: the release audit and the one-division α-DP scan        *)
+(* ------------------------------------------------------------------ *)
+
+(* Random square matrices of small non-negative rationals, rows
+   normalized to sum 1 unless [raw]; zeros are common, so zero/non-zero
+   adjacencies get exercised. *)
+let gen_matrix =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n ->
+    bool >>= fun raw ->
+    map
+      (fun cells ->
+        Array.map
+          (fun row ->
+            let row = Array.map (fun k -> q k 1) row in
+            let sum = Array.fold_left Rat.add Rat.zero row in
+            if raw || Rat.is_zero sum then row else Array.map (fun x -> Rat.div x sum) row)
+          cells)
+      (array_repeat (n + 1) (array_repeat (n + 1) (oneof [ return 0; int_range 1 6 ]))))
+
+let arb_case =
+  QCheck.make
+    ~print:(fun (alpha, m) ->
+      Rat.to_string alpha ^ " "
+      ^ String.concat "; "
+          (Array.to_list
+             (Array.map (fun r -> String.concat " " (Array.to_list (Array.map Rat.to_string r))) m)))
+    QCheck.Gen.(
+      pair (map2 (fun a b -> q a (a + b)) (int_range 1 6) (int_range 1 6)) gen_matrix)
+
+(* Definition 2 read off directly: both products at every adjacent
+   pair, and the strongest supported α as the minimum ratio. *)
+let reference_dp ~alpha m =
+  let n = Array.length m - 1 in
+  let sides = ref [] and level = ref Rat.one in
+  for i = 0 to n - 1 do
+    for r = 0 to n do
+      let a = m.(i).(r) and b = m.(i + 1).(r) in
+      if Rat.compare (Rat.mul alpha a) b > 0 then sides := (i, r, "alpha*x_i <= x_succ") :: !sides;
+      if Rat.compare (Rat.mul alpha b) a > 0 then sides := (i, r, "alpha*x_succ <= x_i") :: !sides;
+      let ratio =
+        match (Rat.is_zero a, Rat.is_zero b) with
+        | true, true -> Rat.one
+        | true, false | false, true -> Rat.zero
+        | false, false -> Rat.min (Rat.div a b) (Rat.div b a)
+      in
+      level := Rat.min !level ratio
+    done
+  done;
+  (List.rev !sides, !level)
+
+let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
+
+let properties =
+  [
+    prop "alpha-dp verdicts and level match Definition 2" 300 arb_case (fun (alpha, m) ->
+        let r = I.alpha_dp ~alpha m in
+        let sides, level = reference_dp ~alpha m in
+        let got =
+          List.map
+            (fun (d : D.t) ->
+              match d.location with
+              | D.Adjacent_pair { row; col } -> (row, col, List.assoc "side" d.witness)
+              | _ -> (-1, -1, ""))
+            r.diagnostics
+        in
+        got = sides
+        &&
+        match r.certificate with
+        | Some c -> sides = [] && Rat.equal level (Rat.of_string (List.assoc "privacy_level" c.tight))
+        | None -> sides <> []);
+    prop "release audit = the standalone rules, in order" 300 arb_case (fun (alpha, m) ->
+        let standalone =
+          if I.passed (I.row_stochastic m) then
+            [ I.row_stochastic m; I.alpha_dp ~alpha m; I.derivability ~alpha m ]
+          else [ I.row_stochastic m ]
+        in
+        match (I.audit_release ~alpha m, List.find_opt (fun r -> not (I.passed r)) standalone) with
+        | Ok certs, None -> certs = List.filter_map (fun (r : I.report) -> r.certificate) standalone
+        | Error r, Some first -> r = first
+        | _ -> false);
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "check"
     [
+      ("properties", properties);
       ( "certificates",
         [
           Alcotest.test_case "geometric certified" `Quick test_geometric_certified;
@@ -306,6 +417,7 @@ let () =
         [
           Alcotest.test_case "row sum" `Quick test_row_sum_witness;
           Alcotest.test_case "negative entry" `Quick test_negative_entry_witness;
+          Alcotest.test_case "not square" `Quick test_not_square_witness;
           Alcotest.test_case "alpha-dp" `Quick test_dp_witness;
           Alcotest.test_case "appendix B" `Quick test_appendix_b_witness;
           Alcotest.test_case "monotone loss" `Quick test_monotone_loss;
@@ -322,6 +434,7 @@ let () =
           Alcotest.test_case "float-eq" `Quick test_lint_float_eq;
           Alcotest.test_case "print-stdout" `Quick test_lint_print_stdout;
           Alcotest.test_case "assert-false" `Quick test_lint_assert_false;
+          Alcotest.test_case "unaudited-mechanism" `Quick test_lint_unaudited;
           Alcotest.test_case "strip" `Quick test_lint_strip;
           Alcotest.test_case "own tree clean" `Quick test_lint_own_tree_clean;
         ] );

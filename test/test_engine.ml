@@ -171,8 +171,25 @@ let test_compile_certifies () =
   let c = Co.compile ~alpha:(q 1 2) ~key:(key r) (Rq.consumer r) in
   Alcotest.(check bool) "certificates non-empty" true (c.Co.certificates <> []);
   Alcotest.(check string) "key recorded" (key r) c.Co.key;
-  Alcotest.(check bool) "unbudgeted compile is tailored" true
-    (Co.rung c = Minimax.Serve.Tailored)
+  Alcotest.(check bool) "unbudgeted compile is geometric+remap" true
+    (Co.rung c = Minimax.Serve.Geometric_remap);
+  Alcotest.(check (list string)) "the release audit's certificates"
+    [ "row-stochastic"; "alpha-dp"; "derivable" ]
+    (List.map (fun (c : Check.Invariants.certificate) -> c.Check.Invariants.cert_rule)
+       c.Co.certificates);
+  (* Byte-identical to the standalone rules, one digest shared. *)
+  let m = Mech.Mechanism.matrix c.Co.served.Minimax.Serve.mechanism in
+  let alpha = q 1 2 in
+  Alcotest.(check bool) "certificates equal the standalone rules'" true
+    (c.Co.certificates
+    = List.filter_map
+        (fun (r : Check.Invariants.report) -> r.Check.Invariants.certificate)
+        Check.Invariants.
+          [ row_stochastic m; alpha_dp ~alpha m; derivability ~alpha m ]);
+  (* Theorem 1: the remap rung serves the tailored LP's optimum. *)
+  let tailored = Minimax.Optimal_mechanism.solve ~alpha (Rq.consumer r) in
+  Alcotest.(check bool) "loss equals the tailored optimum" true
+    (Rat.equal (Co.loss c) tailored.Minimax.Optimal_mechanism.loss)
 
 let test_single_draw_takes_exact_path () =
   (* dpopt geometric --samples 1 must see exactly the pre-engine
@@ -255,12 +272,12 @@ let test_cached_artifacts_are_certified () =
 
 let test_budget_degrades_but_serves () =
   (* A 3-pivot budget cannot finish any LP: the ladder must leave the
-     tailored rung yet every request is still answered, certified. *)
+     remap rung yet every request is still answered, certified. *)
   let budget () = Lp.Budget.make ~max_pivots:3 () in
   En.with_engine ~domains:1 ~budget (fun e ->
       let r = req ~n:5 ~input:1 ~count:64 () in
       let rs = En.run_batch ~seed:5 e [| r |] in
-      Alcotest.(check bool) "rung degraded" true (rs.(0).En.rung <> Minimax.Serve.Tailored);
+      Alcotest.(check bool) "rung degraded" true (rs.(0).En.rung = Minimax.Serve.Geometric_raw);
       Alcotest.(check int) "still served" 64 (Array.length rs.(0).En.samples);
       match En.artifact e r with
       | None -> Alcotest.fail "degraded artifact not cached"

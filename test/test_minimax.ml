@@ -300,6 +300,47 @@ let arb_side_info_n3 =
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
+(* A random consumer for n <= 6: a loss *table* — zero on the
+   diagonal, non-decreasing walking outward on each side of i by
+   random integer steps — and random side information. *)
+type table_consumer = { tn : int; table : int array array; members : int list }
+
+let gen_table_consumer =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun tn ->
+    let steps = array_repeat (tn + 1) (array_repeat (tn + 1) (int_range 0 3)) in
+    map2
+      (fun steps mask ->
+        let table =
+          Array.init (tn + 1) (fun i ->
+              let row = Array.make (tn + 1) 0 in
+              for r = i + 1 to tn do
+                row.(r) <- row.(r - 1) + steps.(i).(r)
+              done;
+              for r = i - 1 downto 0 do
+                row.(r) <- row.(r + 1) + steps.(i).(r)
+              done;
+              row)
+        in
+        let members = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init (tn + 1) Fun.id) in
+        { tn; table; members = (if members = [] then [ tn / 2 ] else members) })
+      steps
+      (int_range 1 ((1 lsl (tn + 1)) - 1)))
+
+let arb_table_consumer =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d S={%s} loss=[%s]" c.tn
+        (String.concat "," (List.map string_of_int c.members))
+        (String.concat "; "
+           (Array.to_list
+              (Array.map
+                 (fun row -> String.concat " " (Array.to_list (Array.map string_of_int row)))
+                 c.table))))
+    gen_table_consumer
+
+let table_loss c = L.make ~name:"table" (fun i r -> Rat.of_int c.table.(i).(r))
+
 let properties =
   [
     prop "universality on random consumers (n=3)" 20
@@ -308,6 +349,26 @@ let properties =
         let si = Si.make ~n:3 members in
         let c = C.make ~loss:L.absolute ~side_info:si () in
         U.universality_holds (U.compare_for ~alpha c));
+    (* Theorem 1 on the serve path: without the tailored rung, the
+       ladder still serves the §2.5 optimum exactly, on a certified
+       geometric rung, for monotone loss tables beyond the named
+       families. *)
+    prop "serve reaches the tailored optimum on random loss tables (n<=6)" 40
+      (QCheck.pair arb_alpha arb_table_consumer)
+      (fun (alpha, tc) ->
+        let loss = table_loss tc in
+        QCheck.assume (L.is_monotone loss ~n:tc.tn);
+        let c = C.make ~loss ~side_info:(Si.make ~n:tc.tn tc.members) () in
+        let s = Minimax.Serve.serve ~alpha c in
+        let p = s.Minimax.Serve.provenance in
+        p.Minimax.Serve.rung = Minimax.Serve.Geometric_remap
+        && p.Minimax.Serve.attempts = []
+        && Rat.equal s.Minimax.Serve.loss (Om.solve ~alpha c).Om.loss
+        &&
+        match Check.Invariants.audit_release ~alpha (M.matrix s.Minimax.Serve.mechanism) with
+        | Ok certs ->
+          List.map (fun ce -> ce.Check.Invariants.cert_rule) certs = p.Minimax.Serve.checks
+        | Error _ -> false);
     prop "tailored optimum <= any fixed DP mechanism's loss" 15
       (QCheck.pair arb_alpha arb_side_info_n3)
       (fun (alpha, members) ->

@@ -136,34 +136,56 @@ let alpha_dp_certified (s : S.served) =
   Check.Invariants.passed
     (Check.Invariants.alpha_dp ~alpha:s.S.provenance.S.alpha (Mech.Mechanism.matrix s.S.mechanism))
 
-let test_ladder_tailored () =
-  let s = S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  (match s.S.provenance.S.rung with
-   | S.Tailored -> ()
-   | r -> Alcotest.fail ("expected tailored, got " ^ S.rung_to_string r));
-  Alcotest.(check int) "no degradations" 0 (List.length s.S.provenance.S.attempts);
-  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s)
+let audit_rules = [ "row-stochastic"; "alpha-dp"; "derivable" ]
 
-let test_ladder_remap () =
-  (* Exhaust only the FIRST phase-2 visit: rung 1 dies, rung 2's own LP
-     runs clean and the ladder stops at geometric+remap. *)
-  let plan = F.plan [ { F.site = "simplex.phase2"; hits = 1; action = F.Exhaust E.Pivots } ] in
-  let s = F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
+let test_ladder_tailored () =
+  (* The tailored LP is no longer a rung: an unbudgeted serve lands on
+     geometric+remap, undegraded, and Theorem 1 makes its loss the
+     tailored optimum exactly. *)
+  let c = consumer Minimax.Loss.absolute in
+  let s = S.serve ~alpha:(q 1 2) c in
   (match s.S.provenance.S.rung with
    | S.Geometric_remap -> ()
    | r -> Alcotest.fail ("expected geometric+remap, got " ^ S.rung_to_string r));
-  (match s.S.provenance.S.attempts with
-   | [ { S.attempted = S.Tailored; reason = S.Solver (E.Exhausted _) } ] -> ()
-   | _ -> Alcotest.fail "attempts must record the tailored exhaustion");
+  Alcotest.(check int) "no degradations" 0 (List.length s.S.provenance.S.attempts);
+  Alcotest.(check (list string)) "audited rules" audit_rules s.S.provenance.S.checks;
   Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s);
-  (* Theorem 1: the remapped geometric matches the tailored optimum. *)
-  let tailored = Minimax.Optimal_mechanism.solve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  Alcotest.(check bool) "remap loses nothing (Theorem 1)" true
+  let tailored = Minimax.Optimal_mechanism.solve ~alpha:(q 1 2) c in
+  Alcotest.(check bool) "loss equals the tailored optimum (Theorem 1)" true
     (Rat.equal s.S.loss tailored.Minimax.Optimal_mechanism.loss)
 
+let test_ladder_remap () =
+  (* A 30-pivot budget starves the tailored LP but fits the smaller
+     interaction LP: the ladder serves geometric+remap undegraded. *)
+  let c = consumer Minimax.Loss.absolute in
+  (match
+     Minimax.Optimal_mechanism.solve_budgeted ~budget:(B.make ~max_pivots:30 ()) ~alpha:(q 1 2) c
+   with
+   | Error (E.Exhausted _) -> ()
+   | _ -> Alcotest.fail "30 pivots should not finish the tailored LP");
+  let s = S.serve ~budget:(B.make ~max_pivots:30 ()) ~alpha:(q 1 2) c in
+  (match s.S.provenance.S.rung with
+   | S.Geometric_remap -> ()
+   | r -> Alcotest.fail ("expected geometric+remap, got " ^ S.rung_to_string r));
+  Alcotest.(check int) "no degradations" 0 (List.length s.S.provenance.S.attempts);
+  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s);
+  (* Exhaust only the FIRST phase-2 visit: the remap's one LP dies and
+     the ladder descends to raw G(n,α), recording why. *)
+  let plan = F.plan [ { F.site = "simplex.phase2"; hits = 1; action = F.Exhaust E.Pivots } ] in
+  let s = F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) c in
+  (match s.S.provenance.S.rung with
+   | S.Geometric_raw -> ()
+   | r -> Alcotest.fail ("expected raw geometric, got " ^ S.rung_to_string r));
+  (match s.S.provenance.S.attempts with
+   | [ { S.attempted = S.Geometric_remap; reason = S.Solver (E.Exhausted _) } ] -> ()
+   | _ -> Alcotest.fail "attempts must record the remap exhaustion");
+  Alcotest.(check int) "one trip" 1 (F.trips plan);
+  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s)
+
 let test_ladder_raw () =
-  (* Exhaust EVERY visit to both simplex sites: rungs 1 and 2 both die
-     and the ladder bottoms out at raw G(n,α) — still certified. *)
+  (* Exhaust EVERY visit to both simplex sites, or starve the remap of
+     pivots: either way the ladder bottoms out at raw G(n,α) — still
+     certified, derivability included. *)
   let plan =
     F.plan
       [
@@ -171,14 +193,27 @@ let test_ladder_raw () =
         { F.site = "simplex.phase2"; hits = 0; action = F.Exhaust E.Pivots };
       ]
   in
-  let s = F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
-  (match s.S.provenance.S.rung with
-   | S.Geometric_raw -> ()
-   | r -> Alcotest.fail ("expected raw geometric, got " ^ S.rung_to_string r));
-  (match List.map (fun a -> a.S.attempted) s.S.provenance.S.attempts with
-   | [ S.Tailored; S.Geometric_remap ] -> ()
-   | _ -> Alcotest.fail "attempts must record both failed rungs in order");
-  Alcotest.(check bool) "alpha-dp certified" true (alpha_dp_certified s)
+  let faulted = F.with_plan plan @@ fun () -> S.serve ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in
+  let starved =
+    S.serve ~budget:(B.make ~max_pivots:3 ()) ~alpha:(q 1 2) (consumer Minimax.Loss.absolute)
+  in
+  List.iter
+    (fun (label, s) ->
+      (match s.S.provenance.S.rung with
+       | S.Geometric_raw -> ()
+       | r -> Alcotest.fail (label ^ ": expected raw geometric, got " ^ S.rung_to_string r));
+      (match s.S.provenance.S.attempts with
+       | [ { S.attempted = S.Geometric_remap; reason = S.Solver (E.Exhausted ex) } ] ->
+         (match ex.E.kind with
+          | E.Pivots -> ()
+          | _ -> Alcotest.fail (label ^ ": expected pivot exhaustion"))
+       | _ -> Alcotest.fail (label ^ ": attempts must record the failed remap"));
+      Alcotest.(check (list string)) (label ^ ": audited rules") audit_rules
+        s.S.provenance.S.checks;
+      Alcotest.(check bool) (label ^ ": alpha-dp certified") true (alpha_dp_certified s))
+    [ ("fault plan", faulted); ("3-pivot budget", starved) ];
+  Alcotest.(check int) "starved budget charged to the provenance" 3
+    starved.S.provenance.S.pivots_spent
 
 let test_ladder_all_rungs_alpha_dp () =
   (* Property: whatever the failure pattern and consumer, the released
@@ -225,16 +260,17 @@ let test_provenance_deterministic () =
   in
   let a = run () and b = run () in
   Alcotest.(check string) "byte-identical provenance" a b;
-  (* And it names the rung + both attempts, per the acceptance bar. *)
+  (* And it names the rung and the abandoned remap, and no retired
+     rung. *)
+  let mentions needle = Str.string_match (Str.regexp (".*" ^ Str.quote needle)) a 0 in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("mentions " ^ needle) true
-        (Str.string_match (Str.regexp (".*" ^ Str.quote needle)) a 0))
-    [ "rung=geometric"; "tailored:exhausted"; "geometric+remap:exhausted"; "kind=pivots" ]
+    (fun needle -> Alcotest.(check bool) ("mentions " ^ needle) true (mentions needle))
+    [ "rung=geometric"; "geometric+remap:exhausted"; "kind=pivots" ];
+  Alcotest.(check bool) "no tailored attempt" false (mentions "tailored")
 
 let test_deadline_shared_across_rungs () =
-  (* One already-expired deadline starves every LP rung; the ladder
-     still releases raw G(n,α) and charges both failures to it. *)
+  (* One already-expired deadline starves the remap's LP; the ladder
+     still releases raw G(n,α) and charges the failure to it. *)
   let clock = ticking_clock () in
   let budget = B.make ~clock ~deadline_ms:0 () in
   let s = S.serve ~budget ~alpha:(q 1 2) (consumer Minimax.Loss.absolute) in

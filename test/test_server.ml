@@ -79,6 +79,12 @@ let round_trip port lines =
   Unix.close fd;
   got
 
+(* A pipelined burst in one write, so the server reads it in one go:
+   the whole burst is a single queued chunk. ([send] writes line by
+   line, and a fast compile can answer the first line before the next
+   one arrives.) *)
+let round_trip_burst port lines = round_trip port [ String.concat "\n" lines ]
+
 (* The reference bytes: what [dpopt engine] emits for these request
    lines — Engine.run_jobs with Seeder streams, rendered through the
    same Response surface. Servers must reproduce them exactly. *)
@@ -283,7 +289,7 @@ let test_golden_stats () =
   in
   let expect =
     [
-      {|{"v":1,"status":"stats","id":"s1","stats":{"queue":{"depth":0,"capacity":64},"conns":{"accepted":2,"aborted":0},"requests":{"admitted":2,"responses":2,"degraded":0,"errors":0,"stats":1},"rejected":{"protocol":0,"overloaded":0,"deadline":0},"engine":{"requests":2,"samples":5},"lp":{"solves":1,"pivots":37,"warm_hits":0,"warm_misses":0,"refactorizations":2},"cache":{"hits":1,"misses":1,"evictions":0,"insertions":1,"bypassed":0},"store":{"hits":0,"misses":0,"corrupt":0,"writes":0,"probe_latency_us":null},"session":{"groups":0,"subscribers":0,"subscribes":0,"unsubscribes":0,"detached":0,"epochs":0,"served":0,"refused_budget":0,"checkpoints":0,"checkpoint_failed":0,"epoch_latency_us":null},"latency_us":{"window_ns":10000000000,"count":2,"p50_us":0,"p99_us":0,"p999_us":0,"max_us":0,"sum_us":0}},"prometheus":"# TYPE dpserved_queue_depth gauge\ndpserved_queue_depth 0\n# TYPE dpserved_queue_capacity gauge\ndpserved_queue_capacity 64\n# TYPE dpserved_connections_total counter\ndpserved_connections_total{event=\"accepted\"} 2\ndpserved_connections_total{event=\"aborted\"} 0\n# TYPE dpserved_requests_total counter\ndpserved_requests_total{outcome=\"admitted\"} 2\ndpserved_requests_total{outcome=\"responses\"} 2\ndpserved_requests_total{outcome=\"degraded\"} 0\ndpserved_requests_total{outcome=\"errors\"} 0\ndpserved_requests_total{outcome=\"stats\"} 1\n# TYPE dpserved_rejected_total counter\ndpserved_rejected_total{reason=\"protocol\"} 0\ndpserved_rejected_total{reason=\"overloaded\"} 0\ndpserved_rejected_total{reason=\"deadline\"} 0\n# TYPE dpserved_engine_requests_total counter\ndpserved_engine_requests_total 2\n# TYPE dpserved_engine_samples_total counter\ndpserved_engine_samples_total 5\n# TYPE dpserved_lp_events_total counter\ndpserved_lp_events_total{event=\"solves\"} 1\ndpserved_lp_events_total{event=\"pivots\"} 37\ndpserved_lp_events_total{event=\"warm_hits\"} 0\ndpserved_lp_events_total{event=\"warm_misses\"} 0\ndpserved_lp_events_total{event=\"refactorizations\"} 2\n# TYPE dpserved_cache_events_total counter\ndpserved_cache_events_total{event=\"hits\"} 1\ndpserved_cache_events_total{event=\"misses\"} 1\ndpserved_cache_events_total{event=\"evictions\"} 0\ndpserved_cache_events_total{event=\"insertions\"} 1\ndpserved_cache_events_total{event=\"bypassed\"} 0\n# TYPE dpserved_store_events_total counter\ndpserved_store_events_total{event=\"hits\"} 0\ndpserved_store_events_total{event=\"misses\"} 0\ndpserved_store_events_total{event=\"corrupt\"} 0\ndpserved_store_events_total{event=\"writes\"} 0\n# TYPE dpserved_session_groups gauge\ndpserved_session_groups 0\n# TYPE dpserved_session_subscribers gauge\ndpserved_session_subscribers 0\n# TYPE dpserved_session_events_total counter\ndpserved_session_events_total{event=\"subscribes\"} 0\ndpserved_session_events_total{event=\"unsubscribes\"} 0\ndpserved_session_events_total{event=\"detached\"} 0\ndpserved_session_events_total{event=\"epochs\"} 0\ndpserved_session_events_total{event=\"served\"} 0\ndpserved_session_events_total{event=\"refused_budget\"} 0\ndpserved_session_events_total{event=\"checkpoints\"} 0\ndpserved_session_events_total{event=\"checkpoint_failed\"} 0\n# TYPE dpserved_store_probe_microseconds summary\ndpserved_store_probe_microseconds{quantile=\"0.5\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.99\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.999\"} 0\ndpserved_store_probe_microseconds_sum 0\ndpserved_store_probe_microseconds_count 0\n# TYPE dpserved_session_epoch_microseconds summary\ndpserved_session_epoch_microseconds{quantile=\"0.5\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.99\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.999\"} 0\ndpserved_session_epoch_microseconds_sum 0\ndpserved_session_epoch_microseconds_count 0\n# TYPE dpserved_latency_microseconds summary\ndpserved_latency_microseconds{quantile=\"0.5\"} 0\ndpserved_latency_microseconds{quantile=\"0.99\"} 0\ndpserved_latency_microseconds{quantile=\"0.999\"} 0\ndpserved_latency_microseconds_sum 0\ndpserved_latency_microseconds_count 2\n"}|};
+      {|{"v":1,"status":"stats","id":"s1","stats":{"queue":{"depth":0,"capacity":64},"conns":{"accepted":2,"aborted":0},"requests":{"admitted":2,"responses":2,"degraded":0,"errors":0,"stats":1},"rejected":{"protocol":0,"overloaded":0,"deadline":0},"engine":{"requests":2,"samples":5},"lp":{"solves":1,"pivots":19,"warm_hits":0,"warm_misses":0,"refactorizations":1},"cache":{"hits":1,"misses":1,"evictions":0,"insertions":1,"bypassed":0},"store":{"hits":0,"misses":0,"corrupt":0,"writes":0,"probe_latency_us":null},"session":{"groups":0,"subscribers":0,"subscribes":0,"unsubscribes":0,"detached":0,"epochs":0,"served":0,"refused_budget":0,"checkpoints":0,"checkpoint_failed":0,"epoch_latency_us":null},"latency_us":{"window_ns":10000000000,"count":2,"p50_us":0,"p99_us":0,"p999_us":0,"max_us":0,"sum_us":0}},"prometheus":"# TYPE dpserved_queue_depth gauge\ndpserved_queue_depth 0\n# TYPE dpserved_queue_capacity gauge\ndpserved_queue_capacity 64\n# TYPE dpserved_connections_total counter\ndpserved_connections_total{event=\"accepted\"} 2\ndpserved_connections_total{event=\"aborted\"} 0\n# TYPE dpserved_requests_total counter\ndpserved_requests_total{outcome=\"admitted\"} 2\ndpserved_requests_total{outcome=\"responses\"} 2\ndpserved_requests_total{outcome=\"degraded\"} 0\ndpserved_requests_total{outcome=\"errors\"} 0\ndpserved_requests_total{outcome=\"stats\"} 1\n# TYPE dpserved_rejected_total counter\ndpserved_rejected_total{reason=\"protocol\"} 0\ndpserved_rejected_total{reason=\"overloaded\"} 0\ndpserved_rejected_total{reason=\"deadline\"} 0\n# TYPE dpserved_engine_requests_total counter\ndpserved_engine_requests_total 2\n# TYPE dpserved_engine_samples_total counter\ndpserved_engine_samples_total 5\n# TYPE dpserved_lp_events_total counter\ndpserved_lp_events_total{event=\"solves\"} 1\ndpserved_lp_events_total{event=\"pivots\"} 19\ndpserved_lp_events_total{event=\"warm_hits\"} 0\ndpserved_lp_events_total{event=\"warm_misses\"} 0\ndpserved_lp_events_total{event=\"refactorizations\"} 1\n# TYPE dpserved_cache_events_total counter\ndpserved_cache_events_total{event=\"hits\"} 1\ndpserved_cache_events_total{event=\"misses\"} 1\ndpserved_cache_events_total{event=\"evictions\"} 0\ndpserved_cache_events_total{event=\"insertions\"} 1\ndpserved_cache_events_total{event=\"bypassed\"} 0\n# TYPE dpserved_store_events_total counter\ndpserved_store_events_total{event=\"hits\"} 0\ndpserved_store_events_total{event=\"misses\"} 0\ndpserved_store_events_total{event=\"corrupt\"} 0\ndpserved_store_events_total{event=\"writes\"} 0\n# TYPE dpserved_session_groups gauge\ndpserved_session_groups 0\n# TYPE dpserved_session_subscribers gauge\ndpserved_session_subscribers 0\n# TYPE dpserved_session_events_total counter\ndpserved_session_events_total{event=\"subscribes\"} 0\ndpserved_session_events_total{event=\"unsubscribes\"} 0\ndpserved_session_events_total{event=\"detached\"} 0\ndpserved_session_events_total{event=\"epochs\"} 0\ndpserved_session_events_total{event=\"served\"} 0\ndpserved_session_events_total{event=\"refused_budget\"} 0\ndpserved_session_events_total{event=\"checkpoints\"} 0\ndpserved_session_events_total{event=\"checkpoint_failed\"} 0\n# TYPE dpserved_store_probe_microseconds summary\ndpserved_store_probe_microseconds{quantile=\"0.5\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.99\"} 0\ndpserved_store_probe_microseconds{quantile=\"0.999\"} 0\ndpserved_store_probe_microseconds_sum 0\ndpserved_store_probe_microseconds_count 0\n# TYPE dpserved_session_epoch_microseconds summary\ndpserved_session_epoch_microseconds{quantile=\"0.5\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.99\"} 0\ndpserved_session_epoch_microseconds{quantile=\"0.999\"} 0\ndpserved_session_epoch_microseconds_sum 0\ndpserved_session_epoch_microseconds_count 0\n# TYPE dpserved_latency_microseconds summary\ndpserved_latency_microseconds{quantile=\"0.5\"} 0\ndpserved_latency_microseconds{quantile=\"0.99\"} 0\ndpserved_latency_microseconds{quantile=\"0.999\"} 0\ndpserved_latency_microseconds_sum 0\ndpserved_latency_microseconds_count 2\n"}|};
     ]
   in
   Alcotest.(check (list string)) "golden stats transcript" expect got
@@ -313,7 +319,7 @@ let test_error_ordering () =
   in
   let expect = expect_err :: reference_lines [ ok0; ok1 ] in
   with_server (config ~domains:1 ()) (fun _ port ->
-      let got = round_trip port [ ok0; "v=1 bogus"; ok1 ] in
+      let got = round_trip_burst port [ ok0; "v=1 bogus"; ok1 ] in
       Alcotest.(check (list string)) "errors first, then served responses in order" expect got)
 
 (* ------------------------------------------------------------------ *)

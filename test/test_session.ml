@@ -227,6 +227,30 @@ let test_checkpoint_roundtrip () =
       let v = ok (S.ledger resumed ~sub:"alice" ~n:5 ~input:1) in
       Alcotest.check rat_t "no double spend: (1/2)^4" (q 1 16) v.S.v_spent)
 
+(* Checkpoints keep frame version 1 when the artifact store's version
+   moves: a checkpoint framed the way every earlier build framed it —
+   magic, u32 BE version 1, u32 BE length, payload, MD5, rebuilt here
+   from the spec — still resumes its ledgers. *)
+let test_checkpoint_parent_version () =
+  let path = tmpfile () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let t = fresh ~seed:7 ~checkpoint:path () in
+      ignore (ok (S.subscribe t ~sub:"alice" ~n:4 ~input:2 ~level:(q 1 2) ()));
+      ignore (release_ok t ~n:4 ~input:2);
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      let payload = String.sub raw 12 (String.length raw - 28) in
+      let u32 v = String.init 4 (fun k -> Char.chr ((v lsr (8 * (3 - k))) land 0xff)) in
+      let body = "DPST" ^ u32 1 ^ u32 (String.length payload) ^ payload in
+      let parent = body ^ Digest.string body in
+      Alcotest.(check string) "written at the parent's frame version" parent raw;
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc parent);
+      let resumed = fresh ~seed:7 ~checkpoint:path () in
+      let v = ok (S.ledger resumed ~sub:"alice" ~n:4 ~input:2) in
+      Alcotest.check rat_t "ledger resumed" (q 1 2) v.S.v_spent;
+      Alcotest.(check int) "epoch counter resumed" 1 v.S.v_epoch)
+
 let test_checkpoint_verify_on_load () =
   let path = tmpfile () in
   Fun.protect
@@ -254,7 +278,7 @@ let test_checkpoint_verify_on_load () =
       | Ok _ -> Alcotest.fail "accepted a corrupt frame"
       | Error _ -> ());
       (* A foreign (but valid) frame is refused by format tag. *)
-      (match Store.Frame.write ~path ~payload:{|{"format":"dpstore"}|} with
+      (match Store.Frame.write ~version:1 ~path ~payload:{|{"format":"dpstore"}|} with
       | Ok () -> ()
       | Error e -> Alcotest.failf "frame write: %s" (Store.Frame.error_to_string e));
       match S.create ~seed:3 ~checkpoint:path () with
@@ -333,6 +357,8 @@ let () =
           Alcotest.test_case "warm restart, zero double-spend" `Quick
             test_checkpoint_roundtrip;
           Alcotest.test_case "verify-on-load refusals" `Quick test_checkpoint_verify_on_load;
+          Alcotest.test_case "parent-version checkpoint loads" `Quick
+            test_checkpoint_parent_version;
         ] );
       ( "faults",
         [

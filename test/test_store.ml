@@ -231,6 +231,72 @@ let test_corrupt_fixtures () =
       let st = Store.stats s in
       Alcotest.(check int) "every refusal counted" 9 st.Store.corrupt)
 
+(* A well-framed entry whose matrix is not square of the size its key
+   names: refused as corrupt before the audit or the loss replay
+   indexes past a row. *)
+let test_wrong_size_matrix () =
+  with_store (fun _dir s ->
+      let small = compile (req ~n:3 ()) in
+      ok_write s small;
+      let raw = read_file (Store.entry_path s ~key:small.Co.key) in
+      let key = Rq.canonical_key (req ~n:4 ()) in
+      let moved =
+        Str.global_replace (Str.regexp_string small.Co.key) key (payload_of raw)
+      in
+      write_file (Store.entry_path s ~key) (frame moved);
+      check_load_error "matrix size differs from the key's" s ~key "corrupt";
+      let key = small.Co.key in
+      let path = Store.entry_path s ~key in
+      let pristine = payload_of raw in
+      List.iter
+        (fun (name, re, by) ->
+          let edited = Str.replace_first (Str.regexp re) by pristine in
+          Alcotest.(check bool) (name ^ ": fixture edits the matrix") true (edited <> pristine);
+          write_file path (frame edited);
+          check_load_error name s ~key "corrupt")
+        [
+          ("empty first row", "\"matrix\":\\[\\[[^]]*\\]", "\"matrix\":[[]");
+          ("ragged first row", "\"matrix\":\\[\\[\"[0-9/]+\",", "\"matrix\":[[");
+        ])
+
+(* Entries from before the tailored rung's retirement are version-1
+   frames, possibly holding a "tailored" rung. They read as stale, fall
+   through to a compile, and the write-back replaces them at the
+   current version. *)
+let test_parent_version_recompiles () =
+  with_store (fun _dir s ->
+      let r = req ~count:16 () in
+      let c = compile r in
+      ok_write s c;
+      let path = Store.entry_path s ~key:c.Co.key in
+      let parent =
+        Str.global_replace
+          (Str.regexp_string "\"rung\":\"geometric+remap\"")
+          "\"rung\":\"tailored\"" (payload_of (read_file path))
+      in
+      write_file path (frame ~version:1 parent);
+      (match Store.load s ~key:c.Co.key with
+      | Error (Store.Stale_version { got = 1 }) -> ()
+      | Error e -> Alcotest.failf "parent entry: %s" (Store.error_to_string e)
+      | Ok _ -> Alcotest.fail "parent-version entry was accepted");
+      let resp =
+        Engine.with_engine ~domains:1 ~tier:(Store.tier s) (fun e ->
+            (Engine.run_batch ~seed:7 e [| r |]).(0))
+      in
+      Alcotest.(check bool) "stale entry is not a store hit" false resp.Engine.store_hit;
+      let plain =
+        Engine.with_engine ~domains:1 (fun e -> (Engine.run_batch ~seed:7 e [| r |]).(0))
+      in
+      Alcotest.(check (array int)) "bytes match a storeless run" plain.Engine.samples
+        resp.Engine.samples;
+      Alcotest.(check int) "written back at the current version" Store.format_version
+        (Char.code (read_file path).[7]);
+      match Store.load s ~key:c.Co.key with
+      | Ok (Some c') ->
+        check_artifact_equal "write-back replaced the entry" c c';
+        Alcotest.(check bool) "on a geometric rung" true (Co.rung c' = S.Geometric_remap)
+      | _ -> Alcotest.fail "write-back did not replace the stale entry")
+
 (* --------------------------------------------------------------- *)
 (* Write hygiene                                                    *)
 (* --------------------------------------------------------------- *)
@@ -427,6 +493,9 @@ let () =
           Alcotest.test_case "golden corrupt fixtures → typed errors" `Quick
             test_corrupt_fixtures;
           Alcotest.test_case "load_all skips corrupt neighbors" `Quick test_load_all;
+          Alcotest.test_case "matrix of another size is refused" `Quick test_wrong_size_matrix;
+          Alcotest.test_case "parent-version entry recompiles" `Quick
+            test_parent_version_recompiles;
         ] );
       ( "write-hygiene",
         [
