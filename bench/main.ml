@@ -1296,19 +1296,32 @@ let telemetry_plane =
         Obs.set_current None;
         Fun.protect ~finally:(fun () -> Obs.set_current saved) f
       in
-      let iters = 3 in
-      let best f =
-        let bytes = ref [] and dt = ref infinity in
-        for _ = 1 to iters do
-          let b, d = f () in
-          bytes := b;
-          if d < !dt then dt := d
-        done;
-        (!bytes, !dt)
+      (* Interleaved (off, on) pairs, alternating which side runs
+         first so warm-up and drift fall on both sides equally; each
+         side is summarized by its median. *)
+      let pairs = 10 in
+      let off () = without_recorder run_once
+      and on () = Obs.with_recorder (Obs.create ()) run_once in
+      let runs =
+        List.init pairs (fun k ->
+            if k mod 2 = 0 then
+              let o = off () in
+              (o, on ())
+            else
+              let n = on () in
+              (off (), n))
       in
-      let bytes_off, dt_off = best (fun () -> without_recorder run_once) in
-      let bytes_on, dt_on = best (fun () -> Obs.with_recorder (Obs.create ()) run_once) in
-      let identical = bytes_on = bytes_off in
+      let median xs =
+        let a = Array.of_list (List.sort compare xs) in
+        let m = Array.length a / 2 in
+        if Array.length a mod 2 = 1 then a.(m) else (a.(m - 1) +. a.(m)) /. 2.
+      in
+      let bytes_off = fst (fst (List.hd runs)) in
+      let identical =
+        List.for_all (fun ((b_off, _), (b_on, _)) -> b_off = bytes_off && b_on = bytes_off) runs
+      in
+      let dt_off = median (List.map (fun ((_, d), _) -> d) runs)
+      and dt_on = median (List.map (fun (_, (_, d)) -> d) runs) in
       let overhead = if dt_off > 0. then (dt_on -. dt_off) /. dt_off else 0. in
       let overhead_binding = dt_off >= 0.05 in
       let overhead_ok = (not overhead_binding) || overhead <= 0.05 in
@@ -1426,7 +1439,7 @@ let telemetry_plane =
         T.make ~headers:[ "measure"; "off"; "on"; "criterion" ]
           [
             [
-              "engine wall (min of 3)";
+              Printf.sprintf "engine wall (median, %d pairs)" pairs;
               Printf.sprintf "%.3fs" dt_off;
               Printf.sprintf "%.3fs" dt_on;
               Printf.sprintf "overhead %.1f%% (%s)" (overhead *. 100.)

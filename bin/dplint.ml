@@ -260,11 +260,14 @@ let check_derivable_cmd =
 
 let lint_src_cmd =
   let roots_arg =
-    let doc = "Directories to scan; a root named 'lib' additionally requires .mli files." in
+    let doc =
+      "Directories to scan; a root named 'lib' also gets the library-only rules \
+       (print-stdout, assert-false, missing-mli)."
+    in
     Arg.(non_empty & pos_all dir [] & info [] ~docv:"DIR" ~doc)
   in
   let run () roots json =
-    let diags = Check.Lint.scan_roots roots in
+    let diags = Analysis.Lint.scan_roots roots in
     if json then
       print_endline
         (Check.Json.to_string
@@ -289,8 +292,9 @@ let lint_src_cmd =
   Cmd.v
     (Cmd.info "lint-src"
        ~doc:
-         "Scan OCaml sources for exactness-hostile patterns: Obj.magic, bare \
-          `try … with _ ->`, float-literal (in)equality, and mli-less library modules.")
+         "Scan OCaml sources for exactness-hostile patterns (Obj.magic, bare \
+          `try … with _ ->`, float-literal (in)equality, …); the full rule list is in \
+          DESIGN.md §4b.")
     term
 
 (* ----------------------------------------------------------------- *)

@@ -1,6 +1,7 @@
 (* Analysis driver; see analysis.mli. *)
 
 module Lexer = Lexer
+module Lint = Lint
 module Modinfo = Modinfo
 module Modgraph = Modgraph
 module Passes = Passes

@@ -12,6 +12,7 @@
     baseline subtraction. *)
 
 module Lexer = Lexer
+module Lint = Lint
 module Modinfo = Modinfo
 module Modgraph = Modgraph
 module Passes = Passes

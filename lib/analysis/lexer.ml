@@ -23,6 +23,22 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let source_files root =
+  let rec walk dir acc =
+    match Sys.readdir dir with
+    | entries ->
+      Array.sort compare entries;
+      Array.fold_left
+        (fun acc entry ->
+          let path = Filename.concat dir entry in
+          if String.length entry > 0 && (entry.[0] = '.' || entry.[0] = '_') then acc
+          else if Sys.is_directory path then walk path acc
+          else path :: acc)
+        acc entries
+    | exception Sys_error _ -> acc
+  in
+  List.rev (walk root [])
+
 (* One mutable cursor over the buffer; [line]/[bol] track positions so
    every token is stamped without a second scan. *)
 type cursor = {

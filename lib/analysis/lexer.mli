@@ -1,18 +1,19 @@
-(** Token-level OCaml lexer for the cross-module analyzer.
+(** Token-level OCaml lexer: the one OCaml source scanner in [lib/],
+    shared by the source lint ({!Lint}) and the cross-module analyzer.
 
-    [lib/check]'s line lint works on a stripped character buffer; the
-    analyzer needs more structure — token kinds, positions, nesting
-    depth, and the text of comments (where waivers live) — without the
+    Both need token kinds, positions, nesting depth, and the text of
+    comments (where waivers and invariant notes live) without the
     weight of a full parser. This lexer produces exactly that: a flat
     token array with enough geometry (line, column, bracket depth) for
-    the lexical-region reasoning the passes do.
+    the lint's token patterns and the lexical-region reasoning the
+    passes do.
 
     Deliberate approximations, shared with every consumer:
     - keywords are plain {!Ident} tokens ([let], [mutable], …);
     - operator characters are grouped maximally ([+.], [<-], [:=]);
     - [{|…|}] and [{id|…|id}] quoted strings lex as one {!String};
-    - character literals and type variables are disambiguated the same
-      way [Check.Lint] does (['x'] / ['\n'] literal, ['a] variable). *)
+    - character literals and type variables are told apart by shape
+      (['x'] / ['\n'] literal, ['a] variable). *)
 
 type kind =
   | Ident  (** lowercase/underscore-led identifier, including keywords *)
@@ -40,4 +41,10 @@ val tokenize : string -> token array
     comment or string simply ends at end of file. *)
 
 val read_file : string -> string
-(** Binary-exact file slurp (shared helper for the analyzer drivers). *)
+(** Binary-exact file slurp (shared by the lint and the analyzer). *)
+
+val source_files : string -> string list
+(** Every file under a directory, depth first with each directory's
+    entries in sorted order, skipping [_]- and [.]-led entries ([_build],
+    dotfiles). An unreadable directory contributes nothing. The one
+    directory walker of the lint and the analyzer. *)

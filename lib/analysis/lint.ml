@@ -1,0 +1,227 @@
+(* Source lint; see lint.mli.
+
+   Every rule is a pattern over the code tokens of [Lexer.tokenize]:
+   comments are set aside (only [lint/assert-false] reads them) and a
+   string or character literal is one opaque token, so documentation
+   and message text never trip a rule. *)
+
+module D = Check.Diagnostic
+
+type scope = Lib | Other
+
+(* A lexed file: the code tokens rules match on, and the comments. *)
+type source = { code : Lexer.token array; comments : Lexer.token list }
+
+let lex src =
+  let code, comments =
+    List.partition
+      (fun (t : Lexer.token) -> t.kind <> Lexer.Comment)
+      (Array.to_list (Lexer.tokenize src))
+  in
+  { code = Array.of_list code; comments }
+
+let kind_at s i kind = i >= 0 && i < Array.length s.code && s.code.(i).kind = kind
+let is s i kind text = kind_at s i kind && s.code.(i).text = text
+
+(* [M.fn] starting at code token [i] with [fn] one of [fns]: [Some fn]. *)
+let qualified s i m fns =
+  if
+    is s i Uident m
+    && is s (i + 1) Op "."
+    && kind_at s (i + 2) Ident
+    && List.mem s.code.(i + 2).text fns
+  then Some s.code.(i + 2).text
+  else None
+
+(* ------------------------------------------------------------------ *)
+(* Rules: each maps code token [i] to the message of a finding there   *)
+(* ------------------------------------------------------------------ *)
+
+let obj_magic s i =
+  Option.map
+    (fun _ -> "Obj.magic defeats the type system and every exactness invariant")
+    (qualified s i "Obj" [ "magic" ])
+
+(* A catch-all arm is only a problem when the nearest [try] / [match] /
+   [function] before it is a [try]. *)
+let catch_all s i =
+  let rec governing k =
+    if k < 0 then None
+    else
+      match s.code.(k) with
+      | { kind = Ident; text = ("try" | "match" | "function") as w; _ } -> Some w
+      | _ -> governing (k - 1)
+  in
+  if
+    is s i Ident "with"
+    && is s (i + 1) Ident "_"
+    && is s (i + 2) Op "->"
+    && governing (i - 1) = Some "try"
+  then
+    Some
+      "bare `with _ ->` swallows every exception, including arithmetic errors; match \
+       specific exceptions or return a Result"
+  else None
+
+(* Binding positions, where [= 0.5] defines rather than compares: the
+   first [=] of a line led by [let]/[and], optional-argument defaults
+   [?(x = 0.5)], and record fields [{ x = 0.5] / [; x = 0.5]. A later
+   [=] on a [let] line ([let b = x = 0.5]) is still a comparison. *)
+let binder s i =
+  let line = s.code.(i).line in
+  let rec before k acc =
+    if k >= 0 && s.code.(k).line = line then before (k - 1) (s.code.(k) :: acc) else acc
+  in
+  let toks = before (i - 1) [] in
+  (match toks with
+   | { kind = Ident; text = "let" | "and"; _ } :: rest ->
+     not (List.exists (fun (t : Lexer.token) -> t.kind = Op && String.contains t.text '=') rest)
+   | _ -> false)
+  ||
+  match List.rev toks with
+  | { kind = Ident; _ } :: { kind = Punct; text = "(" | "{" | ";"; _ } :: _ -> true
+  | _ -> false
+
+let float_eq s i =
+  let float k = kind_at s k Float in
+  if
+    (is s i Op "=" || is s i Op "<>")
+    && (float (i - 1) || float (i + 1) || (is s (i + 1) Op "-" && float (i + 2)))
+    && not (binder s i)
+  then
+    Some
+      "float literal compared with polymorphic (in)equality; use exact rationals or an \
+       explicit tolerance"
+  else None
+
+(* [Mech.Mechanism.unsafe_of_audited] skips [make]'s validation because
+   its one caller, [Engine.Compiled.of_matrix], has just run the release
+   audit on the same matrix. Anywhere else it would build a mechanism
+   that nothing certified. *)
+let unaudited s i =
+  if is s i Ident "unsafe_of_audited" then
+    Some
+      "Mechanism.unsafe_of_audited outside lib/engine/compiled.ml builds a mechanism no \
+       audit certified; use Mechanism.make"
+  else None
+
+(* Library modules must not write to stdout behind the caller's back:
+   report text flows through lib/report's injectable sinks and
+   measurements through lib/obs recorders, which is what keeps bench
+   output machine-readable. *)
+let stdout_fns =
+  [ "print_string"; "print_endline"; "print_newline"; "print_int"; "print_char"; "print_float" ]
+
+let print_stdout s i =
+  let t = s.code.(i) in
+  let what =
+    if t.kind = Ident && List.mem t.text stdout_fns then Some t.text
+    else
+      List.find_map
+        (fun m -> Option.map (fun _ -> m ^ ".printf") (qualified s i m [ "printf" ]))
+        [ "Printf"; "Format" ]
+  in
+  Option.map
+    (fun what ->
+      what
+      ^ " writes to stdout from library code; route output through a lib/report sink or a \
+         lib/obs recorder instead")
+    what
+
+(* lib/server/framing.ml is the tree's single point of contact with
+   write(2): short writes, EAGAIN, dead peers and the injected
+   "server.write" fault are all handled there, once. A raw Unix write
+   anywhere else reopens every one of those holes. *)
+let unix_write s i =
+  Option.map
+    (fun fn ->
+      "Unix." ^ fn
+      ^ " outside lib/server/framing.ml bypasses the one place that handles short writes, \
+         EAGAIN, dead peers and injected write faults; enqueue on a Server.Framing.writer \
+         instead")
+    (qualified s i "Unix" [ "write"; "single_write"; "write_substring"; "single_write_substring" ])
+
+(* [assert false] crashes without a witness; every "impossible" solver
+   outcome has a typed escape ([Resilience.Solver_error.fail]). A
+   comment touching the same or an adjacent line that states the
+   invariant is the sanctioned form for a genuinely dead arm. *)
+let assert_false s i =
+  if is s i Ident "assert" && is s (i + 1) Ident "false" then begin
+    let l = s.code.(i).line in
+    if List.exists (fun (c : Lexer.token) -> c.line <= l + 1 && c.end_line >= l - 1) s.comments
+    then None
+    else
+      Some
+        "assert false crashes without a witness; raise a typed error (e.g. \
+         Resilience.Solver_error.fail) or cite the invariant that makes this arm \
+         unreachable in a sibling comment"
+  end
+  else None
+
+(* ------------------------------------------------------------------ *)
+(* Scope and per-file exemptions                                       *)
+(* ------------------------------------------------------------------ *)
+
+let components file = String.split_on_char '/' file
+
+(* The unvalidated constructor's definition and its one audited caller. *)
+let unaudited_exempt file =
+  let dir = Filename.basename (Filename.dirname file) and base = Filename.basename file in
+  (dir = "mech" && base = "mechanism.ml") || (dir = "engine" && base = "compiled.ml")
+
+(* The sink directories themselves may print. *)
+let stdout_exempt file = List.exists (fun c -> c = "report" || c = "obs") (components file)
+
+(* The framing layer itself is where the raw writes live. *)
+let unix_write_exempt file =
+  Filename.basename file = "framing.ml" && List.mem "server" (components file)
+
+let rules =
+  [
+    ("lint/obj-magic", (fun _ _ -> true), obj_magic);
+    ("lint/catch-all", (fun _ _ -> true), catch_all);
+    ("lint/float-eq", (fun _ _ -> true), float_eq);
+    ("lint/unaudited-mechanism", (fun _ file -> not (unaudited_exempt file)), unaudited);
+    ("lint/print-stdout", (fun scope file -> scope = Lib && not (stdout_exempt file)), print_stdout);
+    ("lint/unix-write", (fun _ file -> not (unix_write_exempt file)), unix_write);
+    ("lint/assert-false", (fun scope _ -> scope = Lib), assert_false);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* File and tree drivers                                               *)
+(* ------------------------------------------------------------------ *)
+
+let scan_source ~scope ~file src =
+  let s = lex src in
+  let indices = List.init (Array.length s.code) Fun.id in
+  List.concat_map
+    (fun (rule, applies, hit) ->
+      let finding i msg = D.error ~rule (D.Source_line { file; line = s.code.(i).line }) msg in
+      if not (applies scope file) then []
+      else
+        List.sort_uniq compare
+          (List.filter_map (fun i -> Option.map (finding i) (hit s i)) indices))
+    rules
+
+let scan_root root =
+  if not (Sys.file_exists root && Sys.is_directory root) then
+    [ D.error ~rule:"lint/missing-dir"
+        (D.Source_line { file = root; line = 0 })
+        "directory does not exist" ]
+  else begin
+    let scope = if Filename.basename root = "lib" then Lib else Other in
+    let mls = List.filter (fun f -> Filename.check_suffix f ".ml") (Lexer.source_files root) in
+    let missing_mli ml =
+      if scope = Lib && not (Sys.file_exists (ml ^ "i")) then
+        Some
+          (D.error ~rule:"lint/missing-mli"
+             (D.Source_line { file = ml; line = 1 })
+             "library module has no .mli: its invariants are unpublished and everything \
+              is exported")
+      else None
+    in
+    List.concat_map (fun ml -> scan_source ~scope ~file:ml (Lexer.read_file ml)) mls
+    @ List.filter_map missing_mli mls
+  end
+
+let scan_roots roots = List.concat_map scan_root roots

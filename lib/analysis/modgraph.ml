@@ -109,76 +109,51 @@ type t = {
   edge_tbl : (string, string list) Hashtbl.t;
 }
 
-let rec walk_dirs dir acc =
-  match Sys.readdir dir with
-  | entries ->
-    Array.sort compare entries;
-    Array.fold_left
-      (fun acc entry ->
-        let path = Filename.concat dir entry in
-        if String.length entry > 0 && (entry.[0] = '.' || entry.[0] = '_') then acc
-        else if Sys.is_directory path then walk_dirs path acc
-        else acc)
-      (dir :: acc) entries
-  | exception Sys_error _ -> acc
-
-let mls_of_dir dir =
-  match Sys.readdir dir with
-  | entries ->
-    Array.to_list entries
-    |> List.filter (fun e -> Filename.check_suffix e ".ml")
-    |> List.sort compare
-    |> List.map (Filename.concat dir)
-  | exception Sys_error _ -> []
-
-let units_of_dune dir =
-  let dune = Filename.concat dir "dune" in
-  if not (Sys.file_exists dune) then []
-  else begin
-    let sexps = parse_sexps (Lexer.read_file dune) in
-    let mls = mls_of_dir dir in
-    List.filter_map
-      (function
-        | L (Atom "library" :: items) -> (
-          match field "name" items with
-          | Some [ name ] ->
-            Some
-              {
-                uname = name;
-                is_lib = true;
-                deps = Option.value ~default:[] (field "libraries" items);
-                ufiles = mls;
-              }
-          | _ -> None)
-        | L (Atom ("executable" | "executables") :: items) -> (
-          let names =
-            match (field "name" items, field "names" items) with
-            | Some ns, _ | None, Some ns -> ns
-            | None, None -> []
-          in
-          match names with
-          | [] -> None
-          | name :: _ ->
-            let files =
-              match field "modules" items with
-              | Some mods ->
-                List.filter
-                  (fun ml ->
-                    let base = Filename.remove_extension (Filename.basename ml) in
-                    List.exists (fun m -> String.lowercase_ascii m = base) mods)
-                  mls
-              | None -> mls
-            in
-            Some
-              {
-                uname = name;
-                is_lib = false;
-                deps = Option.value ~default:[] (field "libraries" items);
-                ufiles = files;
-              })
+(* The units declared by one [dune] file, over [mls], the [.ml] files
+   beside it. *)
+let units_of_dune dune mls =
+  let sexps = parse_sexps (Lexer.read_file dune) in
+  List.filter_map
+    (function
+      | L (Atom "library" :: items) -> (
+        match field "name" items with
+        | Some [ name ] ->
+          Some
+            {
+              uname = name;
+              is_lib = true;
+              deps = Option.value ~default:[] (field "libraries" items);
+              ufiles = mls;
+            }
         | _ -> None)
-      sexps
-  end
+      | L (Atom ("executable" | "executables") :: items) -> (
+        let names =
+          match (field "name" items, field "names" items) with
+          | Some ns, _ | None, Some ns -> ns
+          | None, None -> []
+        in
+        match names with
+        | [] -> None
+        | name :: _ ->
+          let files =
+            match field "modules" items with
+            | Some mods ->
+              List.filter
+                (fun ml ->
+                  let base = Filename.remove_extension (Filename.basename ml) in
+                  List.exists (fun m -> String.lowercase_ascii m = base) mods)
+                mls
+            | None -> mls
+          in
+          Some
+            {
+              uname = name;
+              is_lib = false;
+              deps = Option.value ~default:[] (field "libraries" items);
+              ufiles = files;
+            })
+      | _ -> None)
+    sexps
 
 (* ------------------------------------------------------------------ *)
 (* Reference resolution                                                *)
@@ -231,13 +206,17 @@ let resolve g u file chain =
 (* ------------------------------------------------------------------ *)
 
 let build ~roots =
-  let dirs =
-    List.concat_map
-      (fun root -> if Sys.file_exists root && Sys.is_directory root then walk_dirs root [] else [])
-      roots
+  let files = List.concat_map Lexer.source_files roots |> List.sort_uniq compare in
+  let units =
+    List.filter (fun f -> Filename.basename f = "dune") files
+    |> List.map Filename.dirname
     |> List.sort_uniq compare
+    |> List.concat_map (fun dir ->
+           units_of_dune (Filename.concat dir "dune")
+             (List.filter
+                (fun f -> Filename.dirname f = dir && Filename.check_suffix f ".ml")
+                files))
   in
-  let units = List.concat_map units_of_dune dirs in
   let g =
     {
       tbl = Hashtbl.create 64;

@@ -1,9 +1,9 @@
 (** Structured analyzer verdicts.
 
-    Every violation found by {!Invariants} or {!Lint} is a diagnostic
-    carrying a machine-readable location and an exact-rational witness:
-    enough data to re-derive the violated inequality by hand without
-    re-running the analyzer. The JSON encoding is shared with
+    Every violation found by {!Invariants} or the source lint
+    ([Analysis.Lint]) is a diagnostic carrying a machine-readable
+    location and an exact-rational witness: enough data to re-derive
+    the violated inequality by hand without re-running the analyzer. The JSON encoding is shared with
     [lib/report]'s experiment harness. *)
 
 type severity = Error | Warning

@@ -279,7 +279,14 @@ let test_lexer () =
     (List.length comment_toks);
   let string_toks = kinds "let s = \"0.5 (* not a comment *)\"" in
   Alcotest.(check bool) "floats inside strings don't tokenize" false
-    (List.exists (fun (k, _) -> k = A.Lexer.Float) string_toks)
+    (List.exists (fun (k, _) -> k = A.Lexer.Float) string_toks);
+  Alcotest.(check bool) "'\"' is a char literal, not a string opener" true
+    (List.mem (L.Float, "1.5") (kinds "let q = '\"' let x = 1.5"));
+  let toks = Array.to_list (L.tokenize "(* a \"*)\" b *) let x = 2.5") in
+  Alcotest.(check int) "string in comment protects *)" 1
+    (List.length (List.filter (fun (t : L.token) -> t.L.kind = L.Comment) toks));
+  Alcotest.(check bool) "code after that comment" true
+    (List.exists (fun (t : L.token) -> t.L.kind = L.Float && t.L.text = "2.5") toks)
 
 (* Serve-root completeness over the real tree: every file a dpserved
    byte can pass through must be reachable from the lib-side serve

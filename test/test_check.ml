@@ -1,10 +1,10 @@
 (* Tests for the dplint analyzer (lib/check): positive certificates for
    the paper's matrices, exact witnesses for hand-crafted violations,
-   and the source-lint scanner's pattern discrimination. *)
+   and the source-lint scanner's (Analysis.Lint) pattern discrimination. *)
 
 module I = Check.Invariants
 module D = Check.Diagnostic
-module L = Check.Lint
+module L = Analysis.Lint
 
 let q = Rat.of_ints
 
@@ -201,15 +201,18 @@ let test_json_escape () =
 (* ------------------------------------------------------------------ *)
 
 let rules ds = List.map (fun (d : D.t) -> d.rule) ds
+let scan src = L.scan_source ~scope:L.Other ~file:"t.ml" src
 
 let test_lint_catch_all () =
-  let findings = L.scan_source ~file:"t.ml" "let f x = try g x with _ -> 0\n" in
+  let findings = scan "let f x = try g x with _ -> 0\n" in
   Alcotest.(check (list string)) "try flagged" [ "lint/catch-all" ] (rules findings);
   (* match with a default arm is idiomatic, not a swallowed error. *)
-  let ok = L.scan_source ~file:"t.ml" "let f x = match x with Some y -> y | _ -> 0\n" in
+  let ok = scan "let f x = match x with Some y -> y | _ -> 0\n" in
   Alcotest.(check (list string)) "match not flagged" [] (rules ok);
+  Alcotest.(check (list string)) "quoted string not flagged" []
+    (rules (scan "let s = {|try x with _ -> 0|}\n"));
   (* with-arm position is line-accurate *)
-  let multi = L.scan_source ~file:"t.ml" "let f x =\n  try g x\n  with _ -> 0\n" in
+  let multi = scan "let f x =\n  try g x\n  with _ -> 0\n" in
   (match multi with
    | [ d ] -> (
      match d.location with
@@ -218,17 +221,21 @@ let test_lint_catch_all () =
    | _ -> Alcotest.fail "expected one finding")
 
 let test_lint_obj_magic () =
-  let findings = L.scan_source ~file:"t.ml" "let y = Obj.magic x\n" in
+  let findings = scan "let y = Obj.magic x\n" in
   Alcotest.(check (list string)) "flagged" [ "lint/obj-magic" ] (rules findings);
-  let ok = L.scan_source ~file:"t.ml" "(* Obj.magic would be bad *) let objx = 1\n" in
-  Alcotest.(check (list string)) "comment not flagged" [] (rules ok)
+  let ok = scan "(* Obj.magic would be bad *) let objx = 1\n" in
+  Alcotest.(check (list string)) "comment not flagged" [] (rules ok);
+  Alcotest.(check (list string)) "quoted string not flagged" []
+    (rules (scan "let s = {|Obj.magic|}\n"))
 
 let test_lint_float_eq () =
-  let flagged s = rules (L.scan_source ~file:"t.ml" s) in
+  let flagged s = rules (scan s) in
   Alcotest.(check (list string)) "if x = lit" [ "lint/float-eq" ]
     (flagged "let f x = if x = 0.5 then 1 else 2\n");
   Alcotest.(check (list string)) "lit = x" [ "lint/float-eq" ]
     (flagged "let f x = 0.5 = x\n");
+  Alcotest.(check (list string)) "exponent lit = x" [ "lint/float-eq" ]
+    (flagged "let f x = 1e-9 = x\n");
   Alcotest.(check (list string)) "<> lit" [ "lint/float-eq" ]
     (flagged "let f x = x <> 1e-9\n");
   Alcotest.(check (list string)) "binder exempt" [] (flagged "let eps = 1e-9\n");
@@ -241,48 +248,55 @@ let test_lint_float_eq () =
   Alcotest.(check (list string)) "<= not flagged" []
     (flagged "let f x = x <= 0.5\n");
   Alcotest.(check (list string)) "int compare not flagged" []
-    (flagged "let f x = x = 5\n")
+    (flagged "let f x = x = 5\n");
+  Alcotest.(check (list string)) "quoted string not flagged" []
+    (flagged "let s = {|x = 0.5|}\n")
 
 let test_lint_print_stdout () =
-  let flagged ?ban_stdout s = rules (L.scan_source ?ban_stdout ~file:"t.ml" s) in
+  let flagged ?(scope = L.Lib) s = rules (L.scan_source ~scope ~file:"t.ml" s) in
   Alcotest.(check (list string)) "print_endline flagged" [ "lint/print-stdout" ]
-    (flagged ~ban_stdout:true "let f () = print_endline x\n");
+    (flagged "let f () = print_endline x\n");
   Alcotest.(check (list string)) "Printf.printf flagged" [ "lint/print-stdout" ]
-    (flagged ~ban_stdout:true "let f () = Printf.printf \"%d\" 1\n");
+    (flagged "let f () = Printf.printf \"%d\" 1\n");
   Alcotest.(check (list string)) "Format.printf flagged" [ "lint/print-stdout" ]
-    (flagged ~ban_stdout:true "let f () = Format.printf \"x\"\n");
+    (flagged "let f () = Format.printf \"x\"\n");
   (* sprintf/eprintf do not touch stdout *)
   Alcotest.(check (list string)) "sprintf not flagged" []
-    (flagged ~ban_stdout:true "let s = Printf.sprintf \"%d\" 1\nlet () = Printf.eprintf \"e\"\n");
-  (* off by default, and comments never trip the scanner *)
-  Alcotest.(check (list string)) "off by default" []
-    (flagged "let f () = print_endline x\n");
+    (flagged "let s = Printf.sprintf \"%d\" 1\nlet () = Printf.eprintf \"e\"\n");
+  (* off outside lib roots, and comments never trip the scanner *)
+  Alcotest.(check (list string)) "off outside lib" []
+    (flagged ~scope:L.Other "let f () = print_endline x\n");
   Alcotest.(check (list string)) "comment not flagged" []
-    (flagged ~ban_stdout:true "(* print_endline would be rude *) let x = 1\n")
+    (flagged "(* print_endline would be rude *) let x = 1\n")
 (* The report/obs tree-level exemption is witnessed by
    [test_lint_own_tree_clean]: lib/report prints through its sinks and
    scan_roots bans stdout everywhere else under lib/. *)
 
 let test_lint_assert_false () =
-  let flagged ?ban_assert s = rules (L.scan_source ?ban_assert ~file:"t.ml" s) in
+  let flagged ?(scope = L.Lib) s = rules (L.scan_source ~scope ~file:"t.ml" s) in
   Alcotest.(check (list string)) "bare assert false flagged" [ "lint/assert-false" ]
-    (flagged ~ban_assert:true "let f = function Some x -> x | None -> assert false\n");
+    (flagged "let f = function Some x -> x | None -> assert false\n");
   (* a sibling comment citing the invariant exempts the arm *)
   Alcotest.(check (list string)) "comment on same line exempt" []
-    (flagged ~ban_assert:true
+    (flagged
        "let f = function Some x -> x | None -> assert false (* caller checked *)\n");
   Alcotest.(check (list string)) "comment on previous line exempt" []
-    (flagged ~ban_assert:true
+    (flagged
        "let f = function\n  | Some x -> x\n  (* unreachable: g never returns None *)\n  | None -> assert false\n");
-  (* assert with a real condition is fine, and the rule is off by default *)
+  Alcotest.(check (list string)) "multi-line comment ending on previous line exempt" []
+    (flagged
+       "let f = function\n  | Some x -> x\n  (* unreachable:\n     g never returns None *)\n  | None -> assert false\n");
+  Alcotest.(check (list string)) "comment two lines away does not exempt" [ "lint/assert-false" ]
+    (flagged "(* far *)\n\nlet f = function Some x -> x | None -> assert false\n");
+  (* assert with a real condition is fine, and the rule is off outside lib roots *)
   Alcotest.(check (list string)) "assert cond not flagged" []
-    (flagged ~ban_assert:true "let f x = assert (x > 0); x\n");
-  Alcotest.(check (list string)) "off by default" []
-    (flagged "let f = function Some x -> x | None -> assert false\n")
+    (flagged "let f x = assert (x > 0); x\n");
+  Alcotest.(check (list string)) "off outside lib" []
+    (flagged ~scope:L.Other "let f = function Some x -> x | None -> assert false\n")
 
 let test_lint_unaudited () =
   let src = "let m = Mech.Mechanism.unsafe_of_audited x\n" in
-  let flagged file = rules (L.scan_source ~file src) in
+  let flagged file = rules (L.scan_source ~scope:L.Other ~file src) in
   Alcotest.(check (list string)) "flagged elsewhere" [ "lint/unaudited-mechanism" ]
     (flagged "lib/store/store.ml");
   Alcotest.(check (list string)) "the audited caller is exempt" []
@@ -290,21 +304,30 @@ let test_lint_unaudited () =
   Alcotest.(check (list string)) "a namesake in another library is not" [ "lint/unaudited-mechanism" ]
     (flagged "lib/store/compiled.ml")
 
-let test_lint_strip () =
-  (* Nested comments, strings inside comments, char literals. *)
-  let s = L.strip "a (* one (* two *) \"*)\" still *) b \"lit\" 'c' '\\n' 'a" in
-  Alcotest.(check bool) "comment gone" false
-    (Str.string_match (Str.regexp ".*two.*") s 0);
-  Alcotest.(check bool) "string gone" false
-    (Str.string_match (Str.regexp ".*lit.*") s 0);
-  Alcotest.(check bool) "code kept" true
-    (Str.string_match (Str.regexp "a .* b .*") s 0);
-  (* newlines survive so line numbers stay accurate *)
-  let src = "x\n(* c1\nc2 *)\ny = 0.5 = z\n" in
-  let stripped = L.strip src in
-  Alcotest.(check int) "newlines preserved"
-    (String.length (String.concat "" (List.map (fun _ -> "\n") (String.split_on_char '\n' src))) - 1)
-    (List.length (String.split_on_char '\n' stripped) - 1)
+let test_lint_comments_and_literals () =
+  (* Nothing inside a comment or literal trips a rule, the char literal
+     '"' does not open a string, and line numbers survive a multi-line
+     comment: only the last line's comparison is real. *)
+  let src =
+    String.concat "\n"
+      [
+        "(* outer (* nested \"*)\" Obj.magic *) still outer *)";
+        "let s = \"x = 0.5\"";
+        "let q = '\"' and nl = '\\n'";
+        "type 'a t = 'a list";
+        "(* c1";
+        "c2 *)";
+        "y = 0.5 = z";
+        "";
+      ]
+  in
+  let found =
+    List.map
+      (fun (d : D.t) ->
+        match d.location with D.Source_line { line; _ } -> (d.rule, line) | _ -> (d.rule, 0))
+      (L.scan_source ~scope:L.Lib ~file:"t.ml" src)
+  in
+  Alcotest.(check (list (pair string int))) "one real finding" [ ("lint/float-eq", 7) ] found
 
 let test_lint_own_tree_clean () =
   (* The analyzer must accept the repository it guards (the @lint
@@ -435,7 +458,7 @@ let () =
           Alcotest.test_case "print-stdout" `Quick test_lint_print_stdout;
           Alcotest.test_case "assert-false" `Quick test_lint_assert_false;
           Alcotest.test_case "unaudited-mechanism" `Quick test_lint_unaudited;
-          Alcotest.test_case "strip" `Quick test_lint_strip;
+          Alcotest.test_case "comments and literals" `Quick test_lint_comments_and_literals;
           Alcotest.test_case "own tree clean" `Quick test_lint_own_tree_clean;
         ] );
     ]
