@@ -55,10 +55,11 @@ session-chaos:
 serve-smoke:
 	dune build @serve-smoke
 
-# LP engine gate: trimmed THM1 through both the revised-simplex
-# session and the full-tableau oracle — certified outputs must be
-# byte-identical and the revised engine must hold a hard wall-clock
-# speedup floor (DESIGN.md 4k).
+# LP engine gate: trimmed THM1 through one revised-simplex session,
+# and the same LPs solved cold by the test-only full-tableau oracle
+# (lp_oracle, test/oracle/) — certified outputs must be byte-identical
+# and the revised engine must hold a hard wall-clock speedup floor
+# (DESIGN.md 4k).
 lp-bench:
 	dune build @lp-bench --force
 

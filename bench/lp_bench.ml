@@ -1,10 +1,13 @@
-(* LP engine gate: a trimmed THM1 sweep run twice — once through a
-   revised-simplex [Lp.Solver] session (warm starts enabled), once
-   through the retained full-tableau oracle — requiring
+(* LP engine gate: a trimmed THM1 sweep run twice — once through
+   [Universal.compare_for] on one revised-simplex [Lp.Solver] session
+   (warm starts enabled), once by solving the same two LPs per consumer
+   (the tailored LP of [Optimal_mechanism.build_problem], the
+   interaction LP of [Optimal_interaction.build_problem]) on the dense
+   tableau oracle of the test-only [lp_oracle] library — requiring
 
    1. byte-identical certified outputs: every consumer's tailored,
       universal, and naive losses, and the universality verdict,
-      rendered identically by both engines;
+      rendered identically by both sides;
    2. a hard wall-clock ratio: the revised session must beat the
       oracle by at least [min_speedup] on the same grid.
 
@@ -15,6 +18,8 @@
 module U = Minimax.Universal
 module C = Minimax.Consumer
 module L = Minimax.Loss
+module Om = Minimax.Optimal_mechanism
+module Oi = Minimax.Optimal_interaction
 
 let q = Rat.of_ints
 
@@ -35,32 +40,46 @@ let min_speedup = 2.0
 
 type row = { label : string; tailored : string; universal : string; naive : string; holds : bool }
 
-let sweep solver =
-  let rows = ref [] in
-  List.iter
+let row ~n ~alpha consumer ~tailored ~universal ~naive =
+  {
+    label = Printf.sprintf "n=%d a=%s %s" n (Rat.to_string alpha) (C.label consumer);
+    tailored = Rat.to_string tailored;
+    universal = Rat.to_string universal;
+    naive = Rat.to_string naive;
+    holds = Rat.equal tailored universal;
+  }
+
+(* The revised side: the production comparison on one session. *)
+let revised solver ~n ~alpha consumer =
+  let cmp = U.compare_for ~solver ~alpha consumer in
+  row ~n ~alpha consumer ~tailored:cmp.U.tailored_loss ~universal:cmp.U.universal_loss
+    ~naive:cmp.U.naive_loss
+
+(* The oracle side: the same two LPs, cold, on the dense tableau. *)
+let oracle ~n ~alpha consumer =
+  let optimum p =
+    match fst (Lp_oracle.solve p) with
+    | Lp.Optimal s -> s.Lp.objective
+    | Lp.Failed e -> Lp.Solver_error.fail ~context:"lp_bench.oracle" e
+  in
+  let geometric = Mech.Geometric.matrix ~n ~alpha in
+  let p, _, d = Om.build_problem ~alpha ~n consumer in
+  Lp.set_objective p Lp.Minimize (Lp.Expr.var d);
+  let tailored = optimum p in
+  let universal = optimum (fst (Oi.build_problem ~deployed:geometric consumer)) in
+  row ~n ~alpha consumer ~tailored ~universal ~naive:(C.minimax_loss consumer geometric)
+
+let sweep compare =
+  List.concat_map
     (fun n ->
-      List.iter
+      List.concat_map
         (fun loss ->
-          List.iter
+          List.concat_map
             (fun side_info ->
-              List.iter
-                (fun alpha ->
-                  let cmp = U.compare_for ?solver ~alpha (C.make ~loss ~side_info ()) in
-                  rows :=
-                    {
-                      label = Printf.sprintf "n=%d a=%s %s" n (Rat.to_string alpha)
-                          (C.label cmp.U.consumer);
-                      tailored = Rat.to_string cmp.U.tailored_loss;
-                      universal = Rat.to_string cmp.U.universal_loss;
-                      naive = Rat.to_string cmp.U.naive_loss;
-                      holds = U.universality_holds cmp;
-                    }
-                    :: !rows)
-                alphas)
+              List.map (fun alpha -> compare ~n ~alpha (C.make ~loss ~side_info ())) alphas)
             (U.default_side_infos n))
         losses)
-    ns;
-  List.rev !rows
+    ns
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -68,12 +87,8 @@ let timed f =
   (r, Unix.gettimeofday () -. t0)
 
 let () =
-  let revised, t_revised =
-    timed (fun () -> sweep (Some (Lp.Solver.create ())))
-  in
-  let oracle, t_oracle =
-    timed (fun () -> sweep (Some (Lp.Solver.create ~engine:Lp.Solver.Tableau ())))
-  in
+  let revised, t_revised = timed (fun () -> sweep (revised (Lp.Solver.create ()))) in
+  let oracle, t_oracle = timed (fun () -> sweep oracle) in
   let failures = ref 0 in
   List.iter2
     (fun r o ->

@@ -710,9 +710,9 @@ let ablation_lp =
       let alpha = q 1 2 in
       let configs =
         [
-          ("dantzig+lex, crash", `Direct (Some Lp.Simplex.Exact.Dantzig_lex, Some true));
-          ("dantzig+lex, no crash", `Direct (Some Lp.Simplex.Exact.Dantzig_lex, Some false));
-          ("bland, crash", `Direct (Some Lp.Simplex.Exact.Bland, Some true));
+          ("dantzig+lex, crash", `Direct (Some Lp.Revised.Dantzig_lex, Some true));
+          ("dantzig+lex, no crash", `Direct (Some Lp.Revised.Dantzig_lex, Some false));
+          ("bland, crash", `Direct (Some Lp.Revised.Bland, Some true));
           ("via Theorem-1 interaction", `Fast);
         ]
       in
@@ -774,14 +774,14 @@ let ablation_numeric =
           let exact_factor = Der.factor ~alpha m in
           let exact_ok = Qm.equal exact_factor t in
           (* Float factor: G_f⁻¹ · M_f. *)
-          let gf = Linalg.Matrix.q_to_float (M.matrix g) in
-          let mf = Linalg.Matrix.q_to_float (M.matrix m) in
-          (match Linalg.Matrix.Fl.inverse gf with
+          let gf = Lp_oracle.q_to_float (M.matrix g) in
+          let mf = Lp_oracle.q_to_float (M.matrix m) in
+          (match Lp_oracle.Fl.inverse gf with
            | None ->
              ok := false;
              Buffer.add_string buf "  float inverse failed\n"
            | Some gf_inv ->
-             let tf = Linalg.Matrix.Fl.mul gf_inv mf in
+             let tf = Lp_oracle.Fl.mul gf_inv mf in
              (* Residual on entries that are exactly zero in ℚ. *)
              let max_residual = ref 0.0 in
              for i = 0 to n do
@@ -812,8 +812,8 @@ let ablation_numeric =
           let p, _, d = Om.build_problem ~alpha ~n consumer in
           Lp.set_objective p Lp.Minimize (Lp.Expr.var d);
           let t0 = now_s () in
-          (match Lp.solve_float p with
-           | Lp.Foptimal f ->
+          (match Lp_oracle.solve_float p with
+           | Lp_oracle.Foptimal f ->
              let dt = now_s () -. t0 in
              let exact_f = Rat.to_float exact.Om.loss in
              (* The float mirror honors the pricing knob. In exact ℚ
@@ -822,18 +822,19 @@ let ablation_numeric =
                 — the spread between the two float answers is itself an
                 ablation data point. *)
              let bland_spread =
-               match Lp.solve_float ~pricing:Lp.Simplex.Exact.Bland p with
-               | Lp.Foptimal fb -> Float.abs (fb.Lp.fobjective -. f.Lp.fobjective)
-               | Lp.Finfeasible | Lp.Funbounded -> Float.nan
+               match Lp_oracle.solve_float ~pricing:Lp.Revised.Bland p with
+               | Lp_oracle.Foptimal fb ->
+                 Float.abs (fb.Lp_oracle.fobjective -. f.Lp_oracle.fobjective)
+               | Lp_oracle.Finfeasible | Lp_oracle.Funbounded -> Float.nan
              in
              Buffer.add_string buf
                (Printf.sprintf
                   "    n=%d α=%s: exact %s; float %.12f (Δ=%.2e, %.3fs float; \
                    Dantzig-vs-Bland float spread %.2e)\n"
-                  n (Rat.to_string alpha) (Rat.to_string exact.Om.loss) f.Lp.fobjective
-                  (Float.abs (f.Lp.fobjective -. exact_f))
+                  n (Rat.to_string alpha) (Rat.to_string exact.Om.loss) f.Lp_oracle.fobjective
+                  (Float.abs (f.Lp_oracle.fobjective -. exact_f))
                   dt bland_spread)
-           | Lp.Finfeasible | Lp.Funbounded ->
+           | Lp_oracle.Finfeasible | Lp_oracle.Funbounded ->
              ok := false;
              Buffer.add_string buf "    float solver misclassified a feasible LP\n"))
         [ (3, q 1 2); (5, q 1 2); (6, q 1 4) ];
@@ -1834,7 +1835,7 @@ let perf_tests () =
         in
         let b = Array.make n 1.0 in
         let c = Array.init (2 * n) (fun j -> if j < n then 1.0 else 0.0) in
-        ignore (Lp.Simplex.Floating.solve_standard ~a ~b ~c ()))
+        ignore (Lp_oracle.Simplex.Floating.solve_standard ~a ~b ~c ()))
   in
   [
     Test.make ~name:"lp:optimal-mech n=3 a=1/2" (lp_solve 3 (q 1 2));

@@ -63,24 +63,45 @@ let catch_all s i =
        specific exceptions or return a Result"
   else None
 
-(* Binding positions, where [= 0.5] defines rather than compares: the
-   first [=] of a line led by [let]/[and], optional-argument defaults
-   [?(x = 0.5)], and record fields [{ x = 0.5] / [; x = 0.5]. A later
-   [=] on a [let] line ([let b = x = 0.5]) is still a comparison. *)
+(* Binding positions, where [= 0.5] defines rather than compares.
+   Walking back from the [=] at its own bracket depth, a [let]/[and]
+   reached before any other [=]-bearing operator or [in] makes it a
+   [let] binding ([let b = x = 0.5] still compares, at its second
+   [=]). Otherwise the innermost open bracket decides: [{] makes it a
+   record field binding when a field label follows [{], [;] or
+   [with] ([{ r with f = 0.5 }], or [f = 0.5 }] on a line of its own);
+   [?(] an optional-argument default; anything else, or no bracket at
+   all, a comparison ([if (x = 0.5)], [a; x = 0.5]). *)
 let binder s i =
-  let line = s.code.(i).line in
-  let rec before k acc =
-    if k >= 0 && s.code.(k).line = line then before (k - 1) (s.code.(k) :: acc) else acc
+  let d = s.code.(i).depth in
+  (* Same-depth walk back from [k]: [let]/[and] before any [=]-bearing
+     operator or [in]. *)
+  let rec let_bound k =
+    k >= 0
+    &&
+    let t = s.code.(k) in
+    if t.depth > d then let_bound (k - 1)
+    else if t.depth < d then false
+    else if t.kind = Ident && (t.text = "let" || t.text = "and") then true
+    else if (t.kind = Op && String.contains t.text '=') || (t.kind = Ident && t.text = "in")
+    then false
+    else let_bound (k - 1)
   in
-  let toks = before (i - 1) [] in
-  (match toks with
-   | { kind = Ident; text = "let" | "and"; _ } :: rest ->
-     not (List.exists (fun (t : Lexer.token) -> t.kind = Op && String.contains t.text '=') rest)
-   | _ -> false)
+  (* The innermost bracket open at [i]. *)
+  let rec opener k = if k < 0 || s.code.(k).depth < d then k else opener (k - 1) in
+  (* Start of the field label ending at [k], past any [M.] qualifiers. *)
+  let rec label_start k =
+    if is s (k - 1) Op "." && kind_at s (k - 2) Uident then label_start (k - 2) else k
+  in
+  let_bound (i - 1)
   ||
-  match List.rev toks with
-  | { kind = Ident; _ } :: { kind = Punct; text = "(" | "{" | ";"; _ } :: _ -> true
-  | _ -> false
+  let k = opener (i - 1) in
+  if is s k Punct "{" then
+    kind_at s (i - 1) Ident
+    &&
+    let j = label_start (i - 1) - 1 in
+    is s j Punct "{" || is s j Punct ";" || is s j Ident "with"
+  else is s k Punct "(" && is s (k - 1) Op "?"
 
 let float_eq s i =
   let float k = kind_at s k Float in

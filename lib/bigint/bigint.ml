@@ -500,7 +500,8 @@ let to_int t =
   | Small n -> Some n
   | Big _ -> if equal t (of_int Stdlib.min_int) then Some Stdlib.min_int else None
 
-let to_small t = match t with Small n -> Some n | Big _ -> None
+let not_small = Stdlib.min_int
+let to_small t = match t with Small n -> n | Big _ -> not_small
 
 let to_int_exn t =
   match to_int t with

@@ -22,12 +22,17 @@ val of_int : int -> t
 val to_int : t -> int option
 (** [to_int x] is [Some n] when [x] fits in a native [int]. *)
 
-val to_small : t -> int option
-(** [to_small x] is [Some n] exactly when [x] is held in the inline
-    small-integer representation (magnitude at most 62 bits); a single
-    O(1) match, no limb traversal. This is the hook {!Rat}'s native
-    fast path keys on: [Some] here guarantees native products of
-    sub-2{^30} components cannot overflow. *)
+val not_small : int
+(** [min_int]: what {!to_small} returns for a value held in limb form.
+    No inline value equals it. *)
+
+val to_small : t -> int
+(** [to_small x] is [x] as a native [int] when it is held in the inline
+    small-integer representation (magnitude at most 62 bits), and
+    {!not_small} otherwise; a single O(1) match, no limb traversal, no
+    allocation. This is the hook {!Rat}'s native fast path keys on: an
+    inline result guarantees native products of sub-2{^30} components
+    cannot overflow, and {!not_small} lies outside that range. *)
 
 val to_int_exn : t -> int
 (** @raise Failure when the value does not fit in a native [int]. *)

@@ -20,11 +20,10 @@ type result = {
   loss : Rat.t;  (** minimax loss of the induced mechanism *)
 }
 
-let solve_budgeted ?budget ?solver ~(deployed : Mech.Mechanism.t) (consumer : Consumer.t) =
+let build_problem ~(deployed : Mech.Mechanism.t) (consumer : Consumer.t) =
   let n = Mech.Mechanism.n deployed in
   if Consumer.n consumer <> n then
     invalid_arg "Optimal_interaction.solve: consumer range does not match mechanism";
-  Obs.span ~attrs:[ ("n", Obs.Int n) ] "core.optimal_interaction" @@ fun () ->
   let p = Lp.make () in
   let t_var = Array.init (n + 1) (fun r -> Array.init (n + 1) (fun r' -> Lp.fresh_var ~name:(Printf.sprintf "T_%d_%d" r r') p)) in
   let d = Lp.fresh_var ~name:"d" p in
@@ -53,6 +52,12 @@ let solve_budgeted ?budget ?solver ~(deployed : Mech.Mechanism.t) (consumer : Co
       Lp.add_le p (Lp.Expr.sub (Lp.Expr.sum terms) (Lp.Expr.var d)) Rat.zero)
     (Side_info.members (Consumer.side_info consumer));
   Lp.set_objective p Lp.Minimize (Lp.Expr.var d);
+  (p, t_var)
+
+let solve_budgeted ?budget ?solver ~deployed consumer =
+  let n = Mech.Mechanism.n deployed in
+  Obs.span ~attrs:[ ("n", Obs.Int n) ] "core.optimal_interaction" @@ fun () ->
+  let p, t_var = build_problem ~deployed consumer in
   let outcome =
     match solver with
     | Some s -> (Lp.Solver.solve ?budget s p).Lp.Solver.outcome

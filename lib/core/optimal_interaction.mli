@@ -9,6 +9,13 @@ type result = {
   loss : Rat.t;  (** minimax loss of the induced mechanism *)
 }
 
+val build_problem : deployed:Mech.Mechanism.t -> Consumer.t -> Lp.problem * Lp.var array array
+(** The complete interaction LP, objective included, and its [T]
+    variables ([T_{r,r'}] at index [r], [r']). Exposed for the test
+    oracle and the [@lp-bench] gate, which solve it off the serve path.
+    @raise Invalid_argument when consumer and mechanism ranges
+    mismatch. *)
+
 val solve_budgeted :
   ?budget:Lp.Budget.t ->
   ?solver:Lp.Solver.t ->

@@ -10,7 +10,7 @@ val build_problem :
     Exposed for tests and extensions. *)
 
 val solve_budgeted :
-  ?pricing:Lp.Simplex.Exact.pricing ->
+  ?pricing:Lp.Revised.pricing ->
   ?crash:bool ->
   ?budget:Lp.Budget.t ->
   ?solver:Lp.Solver.t ->
@@ -28,7 +28,7 @@ val solve_budgeted :
     @raise Invalid_argument on a bad [alpha]. *)
 
 val solve :
-  ?pricing:Lp.Simplex.Exact.pricing ->
+  ?pricing:Lp.Revised.pricing ->
   ?crash:bool ->
   ?solver:Lp.Solver.t ->
   alpha:Rat.t ->

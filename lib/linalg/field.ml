@@ -1,5 +1,7 @@
-(** Algebraic field signature shared by the exact (rational) and
-    floating-point instantiations of the linear-algebra and LP stacks. *)
+(** Algebraic field signature of the linear-algebra stack. [lib/]
+    instantiates it once, over exact rationals; the floating-point
+    instance used by the numeric ablation lives in the test-only
+    [lp_oracle] library (test/oracle/). *)
 
 module type S = sig
   type t
@@ -30,7 +32,6 @@ module type S = sig
       histograms use this to track coefficient blow-up and skip the
       measurement entirely when it is always zero. *)
 
-  val to_float : t -> float
   val to_string : t -> string
   val pp : Format.formatter -> t -> unit
 end
@@ -38,29 +39,4 @@ end
 (** Exact rationals as a field. *)
 module Rational : S with type t = Rat.t = struct
   include Rat
-end
-
-(** Floats as an (approximate) field, with a small zero tolerance used
-    only for sign classification. *)
-module Float_field : S with type t = float = struct
-  type t = float
-
-  let eps = 1e-9
-  let zero = 0.0
-  let one = 1.0
-  let of_int = float_of_int
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg x = -.x
-  let abs = Float.abs
-  let equal (a : float) b = a = b
-  let compare = Float.compare
-  let is_zero x = Float.abs x <= eps
-  let sign x = if Float.abs x <= eps then 0 else if x > 0.0 then 1 else -1
-  let bit_size _ = 0
-  let to_float x = x
-  let to_string = string_of_float
-  let pp = Format.pp_print_float
 end

@@ -1,5 +1,7 @@
-(** Algebraic field signature shared by the exact (rational) and
-    floating-point instantiations of the linear-algebra and LP stacks. *)
+(** Algebraic field signature of the linear-algebra stack. [lib/]
+    instantiates it once, over exact rationals; the floating-point
+    instance used by the numeric ablation lives in the test-only
+    [lp_oracle] library (test/oracle/). *)
 
 module type S = sig
   type t
@@ -30,14 +32,9 @@ module type S = sig
       histograms use this to track coefficient blow-up and skip the
       measurement entirely when it is always zero. *)
 
-  val to_float : t -> float
   val to_string : t -> string
   val pp : Format.formatter -> t -> unit
 end
 
 module Rational : S with type t = Rat.t
 (** Exact rationals as a field. *)
-
-module Float_field : S with type t = float
-(** Floats as an (approximate) field, with a small zero tolerance used
-    only for sign classification. *)

@@ -319,7 +319,3 @@ module Make (F : Field.S) = struct
 end
 
 module Q = Make (Field.Rational)
-module Fl = Make (Field.Float_field)
-
-(** Convert an exact matrix to floats (for simulation paths). *)
-let q_to_float (m : Q.t) : Fl.t = Array.map (Array.map Rat.to_float) m

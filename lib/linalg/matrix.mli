@@ -84,9 +84,3 @@ end
 
 module Q : module type of Make (Field.Rational)
 (** Exact-rational instantiation — the default across the repository. *)
-
-module Fl : module type of Make (Field.Float_field)
-(** Float instantiation, for simulation and the numeric ablation. *)
-
-val q_to_float : Q.t -> Fl.t
-(** Convert an exact matrix to floats. *)

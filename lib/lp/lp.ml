@@ -2,10 +2,9 @@
 
     A small modelling layer (named variables, linear-expression DSL,
     [<=]/[>=]/[=] constraints, min/max objective) over the exact
-    two-phase simplex in {!Simplex}. All coefficients are exact
+    revised simplex in {!Revised}. All coefficients are exact
     rationals; see DESIGN.md for why exactness matters here. *)
 
-module Simplex = Simplex
 module Revised = Revised
 module Budget = Resilience.Budget
 module Solver_error = Resilience.Solver_error
@@ -114,22 +113,23 @@ let set_objective p sense expr =
 type solution = { objective : Rat.t; values : Rat.t array }
 type outcome = Optimal of solution | Failed of Solver_error.t
 
-(* Compile the model to standard form  min c.x', A x' = b, x' >= 0:
+(* Compile the model to standard form  min c.x', A x' = b, x' >= 0,
+   built column-wise (CSC):
    - variable with lower bound l:  x = x' + l;
    - free variable:                x = x⁺ − x⁻;
    - Le row gains a slack, Ge row a surplus, Eq rows none. *)
-type compiled = {
-  ca : Rat.t array array;
-  cb : Rat.t array;
-  cc : Rat.t array;
-  c_col_of_var : int array;
-  c_neg_col_of_var : int array;
-  c_lower : Rat.t option array;
-  c_flip : bool;
-  c_obj_shift : Rat.t;
+type standard_form = {
+  a : Revised.csc;
+  b : Rat.t array;
+  c : Rat.t array;
+  var_col : int array;
+  var_neg_col : int array;
+  var_lower : Rat.t option array;
+  flip : bool;
+  obj_shift : Rat.t;
 }
 
-let compile p =
+let standard_form p =
   Obs.span
     ~attrs:[ ("nvars", Obs.Int p.nvars); ("nconstraints", Obs.Int (n_constraints p)) ]
     "lp.compile"
@@ -140,86 +140,6 @@ let compile p =
   let m = List.length constraints in
   (* Column layout: for each model var, either one shifted column or a
      (plus, minus) pair; then one slack/surplus column per inequality. *)
-  let col_of_var = Array.make nv (-1) in
-  let neg_col_of_var = Array.make nv (-1) in
-  let next = ref 0 in
-  Array.iteri
-    (fun v lb ->
-      col_of_var.(v) <- !next;
-      incr next;
-      if lb = None then begin
-        neg_col_of_var.(v) <- !next;
-        incr next
-      end)
-    lower;
-  let n_ineq = List.length (List.filter (fun c -> c.rel <> Eq) constraints) in
-  let total = !next + n_ineq in
-  let a = Array.make_matrix m total Rat.zero in
-  let b = Array.make m Rat.zero in
-  let slack = ref !next in
-  List.iteri
-    (fun i c ->
-      (* rhs adjusted for lower-bound shifts: Σ coef*(x'+l) rel rhs. *)
-      let shift = ref Rat.zero in
-      List.iter
-        (fun (v, coef) ->
-          a.(i).(col_of_var.(v)) <- Rat.add a.(i).(col_of_var.(v)) coef;
-          if neg_col_of_var.(v) >= 0 then
-            a.(i).(neg_col_of_var.(v)) <- Rat.sub a.(i).(neg_col_of_var.(v)) coef;
-          match lower.(v) with
-          | Some l when not (Rat.is_zero l) -> shift := Rat.add !shift (Rat.mul coef l)
-          | _ -> ())
-        c.cexpr.terms;
-      b.(i) <- Rat.sub (Rat.sub c.rhs c.cexpr.const) !shift;
-      (match c.rel with
-       | Le ->
-         a.(i).(!slack) <- Rat.one;
-         incr slack
-       | Ge ->
-         a.(i).(!slack) <- Rat.minus_one;
-         incr slack
-       | Eq -> ()))
-    constraints;
-  (* Objective. *)
-  let cvec = Array.make total Rat.zero in
-  let obj = Expr.normalize p.objective in
-  let obj_shift = ref obj.const in
-  List.iter
-    (fun (v, coef) ->
-      cvec.(col_of_var.(v)) <- Rat.add cvec.(col_of_var.(v)) coef;
-      if neg_col_of_var.(v) >= 0 then
-        cvec.(neg_col_of_var.(v)) <- Rat.sub cvec.(neg_col_of_var.(v)) coef;
-      match lower.(v) with
-      | Some l when not (Rat.is_zero l) -> obj_shift := Rat.add !obj_shift (Rat.mul coef l)
-      | _ -> ())
-    obj.terms;
-  let flip = p.obj_sense = Maximize in
-  let cvec = if flip then Array.map Rat.neg cvec else cvec in
-  {
-    ca = a;
-    cb = b;
-    cc = cvec;
-    c_col_of_var = col_of_var;
-    c_neg_col_of_var = neg_col_of_var;
-    c_lower = lower;
-    c_flip = flip;
-    c_obj_shift = !obj_shift;
-  }
-
-(* Sparse compile: the same standard form as [compile] — identical
-   column layout, rhs, and objective — built column-wise (CSC) without
-   materializing the dense matrix. This is what the revised-simplex
-   engine consumes; the dense [compile] remains for the tableau oracle
-   and the float mirror. *)
-let compile_sparse p =
-  Obs.span
-    ~attrs:[ ("nvars", Obs.Int p.nvars); ("nconstraints", Obs.Int (n_constraints p)) ]
-    "lp.compile"
-  @@ fun () ->
-  let nv = p.nvars in
-  let lower = Array.of_list (List.rev p.lower) in
-  let constraints = List.rev p.constraints in
-  let m = List.length constraints in
   let col_of_var = Array.make nv (-1) in
   let neg_col_of_var = Array.make nv (-1) in
   let next = ref 0 in
@@ -246,6 +166,7 @@ let compile_sparse p =
   let slack = ref !next in
   List.iteri
     (fun i c ->
+      (* rhs adjusted for lower-bound shifts: Σ coef*(x'+l) rel rhs. *)
       let shift = ref Rat.zero in
       List.iter
         (fun (v, coef) ->
@@ -293,45 +214,41 @@ let compile_sparse p =
     obj.terms;
   let flip = p.obj_sense = Maximize in
   let cvec = if flip then Array.map Rat.neg cvec else cvec in
-  ( { Revised.m; n = total; colp; rowi; vals },
-    b,
-    cvec,
-    {
-      ca = [||];
-      cb = [||];
-      cc = [||];
-      c_col_of_var = col_of_var;
-      c_neg_col_of_var = neg_col_of_var;
-      c_lower = lower;
-      c_flip = flip;
-      c_obj_shift = !obj_shift;
-    } )
+  {
+    a = { Revised.m; n = total; colp; rowi; vals };
+    b;
+    c = cvec;
+    var_col = col_of_var;
+    var_neg_col = neg_col_of_var;
+    var_lower = lower;
+    flip;
+    obj_shift = !obj_shift;
+  }
 
-(* Map a raw standard-form optimum back to model coordinates; shared
-   by both engines. *)
-let extract_outcome ~nv cm raw duals =
+(* Map a raw standard-form optimum back to model coordinates. *)
+let extract_outcome sf raw duals =
   let duals =
     (* Standard form minimizes; for a Maximize model (costs negated)
        the caller-facing duals flip sign. *)
     match duals with
-    | Some y when cm.c_flip -> Some (Array.map Rat.neg y)
+    | Some y when sf.flip -> Some (Array.map Rat.neg y)
     | d -> d
   in
   match raw with
   | Error e -> (Failed e, None)
   | Ok (raw_obj, (x : Rat.t array)) ->
     let values =
-      Array.init nv (fun v ->
-          let base = x.(cm.c_col_of_var.(v)) in
+      Array.mapi
+        (fun v col ->
           let value =
-            if cm.c_neg_col_of_var.(v) >= 0 then Rat.sub base x.(cm.c_neg_col_of_var.(v))
-            else base
+            if sf.var_neg_col.(v) >= 0 then Rat.sub x.(col) x.(sf.var_neg_col.(v)) else x.(col)
           in
-          match cm.c_lower.(v) with Some l -> Rat.add value l | None -> value)
+          match sf.var_lower.(v) with Some l -> Rat.add value l | None -> value)
+        sf.var_col
     in
     let objective =
-      let signed = if cm.c_flip then Rat.neg raw_obj else raw_obj in
-      Rat.add signed cm.c_obj_shift
+      let signed = if sf.flip then Rat.neg raw_obj else raw_obj in
+      Rat.add signed sf.obj_shift
     in
     Obs.observe_bits "lp.objective_bits" objective;
     (Optimal { objective; values }, duals)
@@ -341,8 +258,6 @@ let extract_outcome ~nv cm raw duals =
 (* ------------------------------------------------------------------ *)
 
 module Solver = struct
-  type engine = Revised | Tableau
-
   type warm_status = Revised.warm_outcome = Cold | Warm_hit | Warm_miss
 
   type stats = {
@@ -363,14 +278,12 @@ module Solver = struct
   (* analysis: domain-local — a session belongs to the single caller
      driving a solve sequence; nothing in it crosses domains. *)
   type t = {
-    engine : engine;
-    pricing : Simplex.Exact.pricing option;
+    pricing : Revised.pricing option;
     crash : bool option;
     cache : (string, int array) Hashtbl.t;  (** shape signature → last optimal basis *)
   }
 
-  let create ?(engine = Revised) ?pricing ?crash () =
-    { engine; pricing; crash; cache = Hashtbl.create 8 }
+  let create ?pricing ?crash () = { pricing; crash; cache = Hashtbl.create 8 }
 
   (* The standard-form column/row layout is fully determined by the
      variable count, the free/bounded pattern, and the relation
@@ -397,117 +310,46 @@ module Solver = struct
       "lp.solve"
     @@ fun () ->
     Obs.incr "lp.solves";
-    let nv = p.nvars in
-    match t.engine with
-    | Tableau ->
-      let { ca; cb; cc; _ } as cm = compile p in
-      let pivots_before = Obs.counter_value "simplex.pivots" in
-      let r, duals =
-        Simplex.Exact.solve_standard_with_duals ?pricing:t.pricing ?crash:t.crash ?budget
-          ~a:ca ~b:cb ~c:cc ()
-      in
-      let raw =
-        match r with
-        | Simplex.Exact.Failed e -> Error e
-        | Simplex.Exact.Optimal (o, x) -> Ok (o, x)
-      in
-      let outcome, duals = extract_outcome ~nv cm raw duals in
-      {
-        outcome;
-        duals;
-        basis = None;
-        stats =
-          {
-            pivots = Obs.counter_value "simplex.pivots" - pivots_before;
-            refactorizations = 0;
-            warm = Cold;
-          };
-      }
-    | Revised ->
-      let a, b, c, cm = compile_sparse p in
-      let sg = shape_signature p in
-      let warm_cols =
-        match warm with
-        | Some h -> if String.equal h.b_sig sg then Some h.b_cols else None
-        | None -> Hashtbl.find_opt t.cache sg
-      in
-      let sv =
-        Revised.solve ?pricing:t.pricing ?crash:t.crash ?budget ?warm:warm_cols ~a ~b ~c ()
-      in
-      (match sv.Revised.basis with
-      | Some cols -> Hashtbl.replace t.cache sg (Array.copy cols)
-      | None -> ());
-      let raw =
-        match sv.Revised.res with
-        | Revised.Failed e -> Error e
-        | Revised.Optimal (o, x) -> Ok (o, x)
-      in
-      let outcome, duals = extract_outcome ~nv cm raw sv.Revised.duals in
-      {
-        outcome;
-        duals;
-        basis =
-          (match sv.Revised.basis with
-          | Some cols -> Some { b_sig = sg; b_cols = Array.copy cols }
-          | None -> None);
-        stats =
-          {
-            pivots = sv.Revised.stats.Revised.pivots;
-            refactorizations = sv.Revised.stats.Revised.refactorizations;
-            warm = sv.Revised.stats.Revised.warm;
-          };
-      }
+    let sf = standard_form p in
+    let sg = shape_signature p in
+    let warm_cols =
+      match warm with
+      | Some h -> if String.equal h.b_sig sg then Some h.b_cols else None
+      | None -> Hashtbl.find_opt t.cache sg
+    in
+    let sv =
+      Revised.solve ?pricing:t.pricing ?crash:t.crash ?budget ?warm:warm_cols ~a:sf.a ~b:sf.b
+        ~c:sf.c ()
+    in
+    (match sv.Revised.basis with
+    | Some cols -> Hashtbl.replace t.cache sg (Array.copy cols)
+    | None -> ());
+    let raw =
+      match sv.Revised.res with
+      | Revised.Failed e -> Error e
+      | Revised.Optimal (o, x) -> Ok (o, x)
+    in
+    let outcome, duals = extract_outcome sf raw sv.Revised.duals in
+    {
+      outcome;
+      duals;
+      basis =
+        (match sv.Revised.basis with
+        | Some cols -> Some { b_sig = sg; b_cols = Array.copy cols }
+        | None -> None);
+      stats =
+        {
+          pivots = sv.Revised.stats.Revised.pivots;
+          refactorizations = sv.Revised.stats.Revised.refactorizations;
+          warm = sv.Revised.stats.Revised.warm;
+        };
+    }
 end
 
-(* One-shot wrapper: a fresh session per call, revised engine, no warm
-   start — cold solves replicate the tableau oracle pivot for pivot,
-   so this is a drop-in for the pre-session API. *)
+(* One-shot wrapper: a fresh session per call, no warm start — a cold
+   solve, pivot for pivot the tableau oracle's. *)
 let solve ?pricing ?crash ?budget p =
   (Solver.solve ?budget (Solver.create ?pricing ?crash ()) p).Solver.outcome
-
-type float_solution = { fobjective : float; fvalues : float array }
-type float_outcome = Foptimal of float_solution | Finfeasible | Funbounded
-
-(* The same compiled model, solved in floating point. Exists for the
-   exact-vs-float ablation: optimal-mechanism LPs are degenerate enough
-   that the float path's verdicts cannot be trusted without the exact
-   reference this module also provides. *)
-(* analysis: float-ok — the float mirror is the deliberate ablation
-   path: it reconstructs the solution in floating point so experiments
-   can measure what exactness buys. *)
-let solve_float ?pricing p =
-  let pricing =
-    (* The float mirror shares the exact front end's pricing vocabulary;
-       translate to the Floating instance's constructors. *)
-    Option.map
-      (function
-        | Simplex.Exact.Dantzig_lex -> Simplex.Floating.Dantzig_lex
-        | Simplex.Exact.Bland -> Simplex.Floating.Bland)
-      pricing
-  in
-  let nv = p.nvars in
-  let { ca; cb; cc; c_col_of_var; c_neg_col_of_var; c_lower; c_flip; c_obj_shift } = compile p in
-  let fa = Array.map (Array.map Rat.to_float) ca in
-  let fb = Array.map Rat.to_float cb in
-  let fc = Array.map Rat.to_float cc in
-  match Simplex.Floating.solve_standard ?pricing ~a:fa ~b:fb ~c:fc () with
-  | Simplex.Floating.Failed Solver_error.Infeasible -> Finfeasible
-  | Simplex.Floating.Failed Solver_error.Unbounded -> Funbounded
-  | Simplex.Floating.Failed (Solver_error.Exhausted _ as e) ->
-    (* No budget is passed here, so only an injected fault reaches this
-       arm; the float mirror has no degradation story, so surface it. *)
-    Solver_error.fail ~context:"lp.solve_float" e
-  | Simplex.Floating.Optimal (raw_obj, x) ->
-    let fvalues =
-      Array.init nv (fun v ->
-          let base = x.(c_col_of_var.(v)) in
-          let value = if c_neg_col_of_var.(v) >= 0 then base -. x.(c_neg_col_of_var.(v)) else base in
-          match c_lower.(v) with Some l -> value +. Rat.to_float l | None -> value)
-    in
-    let fobjective =
-      (if c_flip then -.raw_obj else raw_obj) +. Rat.to_float c_obj_shift
-    in
-    Foptimal { fobjective; fvalues }
 
 (* ------------------------------------------------------------------ *)
 (* Verification helpers                                               *)

@@ -2,15 +2,14 @@
 
     A small modelling layer — named variables, a linear-expression DSL,
     [<=]/[>=]/[=] constraints, min/max objectives — compiled to
-    standard form and solved by the exact two-phase simplex in
-    {!Simplex}. All coefficients are exact rationals; see DESIGN.md for
-    why exactness matters in this repository. *)
-
-module Simplex = Simplex
+    standard form ({!standard_form}) and solved by the exact two-phase
+    revised simplex in {!Revised}, the one LP engine in [lib/]. All
+    coefficients are exact rationals; see DESIGN.md for why exactness
+    matters in this repository. *)
 
 module Revised = Revised
-(** Re-export: the revised-simplex engine {!Solver} sessions run on;
-    exposed for tests that pit it against the tableau oracle. *)
+(** Re-export: the engine {!Solver} sessions run on, and its
+    {!Revised.pricing} rules. *)
 
 module Budget = Resilience.Budget
 (** Re-export: callers write [Lp.Budget.make ~deadline_ms:50 ()]
@@ -84,19 +83,45 @@ type solution = { objective : Rat.t; values : Rat.t array (** indexed by variabl
 
 type outcome = Optimal of solution | Failed of Solver_error.t
 
+(** {1 Standard form} *)
+
+type standard_form = private {
+  a : Revised.csc;  (** constraint matrix, column-wise *)
+  b : Rat.t array;  (** right-hand side, one entry per constraint *)
+  c : Rat.t array;  (** costs; negated for a [Maximize] model *)
+  var_col : int array;
+      (** per model variable: its (shifted, or positive-part) column *)
+  var_neg_col : int array;  (** per model variable: its negative-part column, or [-1] *)
+  var_lower : Rat.t option array;  (** per model variable: the shift added back *)
+  flip : bool;  (** the model maximizes *)
+  obj_shift : Rat.t;  (** constant added to the standard-form objective *)
+}
+(** The model lowered to {v min c.x  s.t.  A x = b, x >= 0 v}: a
+    variable with lower bound [l] becomes [x = x' + l], a free variable
+    [x = x⁺ − x⁻], and each [Le] ([Ge]) row gains a slack (surplus)
+    column after the structural ones. Read-only, so code outside
+    [lib/lp] (the test oracle) can solve the same system and map its
+    optimum back with {!extract_outcome}. *)
+
+val standard_form : problem -> standard_form
+(** The one lowering every solve goes through. *)
+
+val extract_outcome :
+  standard_form ->
+  (Rat.t * Rat.t array, Solver_error.t) Stdlib.result ->
+  Rat.t array option ->
+  outcome * Rat.t array option
+(** [extract_outcome sf raw duals] maps a standard-form verdict — the
+    raw objective and the value of every column, or the failure — and
+    its per-row duals back to the model: variable values, the model's
+    objective, and duals in the model's sign convention (negated for a
+    [Maximize] model). A failure carries no duals. *)
+
 (** Solver sessions: a stateful handle owning engine configuration and
     a shape-keyed basis cache, so sweeps that solve many same-shaped
     problems (α-sweeps, consumer-family loops) warm-start each solve
     from the previous optimum's basis automatically. *)
 module Solver : sig
-  (** [Revised] (default) is the sparse revised simplex with a
-      product-form basis factorization; [Tableau] is the retained dense
-      full-tableau oracle. Cold solves of the two are byte-identical —
-      the revised engine replicates the oracle's pivot decisions in
-      exact arithmetic — which the qcheck property and the [@lp-bench]
-      gate both enforce. *)
-  type engine = Revised | Tableau
-
   type warm_status = Revised.warm_outcome = Cold | Warm_hit | Warm_miss
 
   type stats = {
@@ -128,10 +153,9 @@ module Solver : sig
 
   type t
 
-  val create : ?engine:engine -> ?pricing:Simplex.Exact.pricing -> ?crash:bool -> unit -> t
-  (** A fresh session. [engine] defaults to [Revised]; the pricing and
-      crash knobs exist for the ablation bench and apply to every solve
-      through this session. *)
+  val create : ?pricing:Revised.pricing -> ?crash:bool -> unit -> t
+  (** A fresh session. The pricing and crash knobs exist for the
+      ablation bench and apply to every solve through this session. *)
 
   val solve : ?budget:Budget.t -> ?warm:basis -> t -> problem -> result
   (** Exact solve through the session. Without [?warm], the session's
@@ -147,28 +171,18 @@ module Solver : sig
 end
 
 val solve :
-  ?pricing:Simplex.Exact.pricing ->
+  ?pricing:Revised.pricing ->
   ?crash:bool ->
   ?budget:Budget.t ->
   problem ->
   outcome
-(** One-shot exact solve: a fresh {!Solver} session per call, revised
-    engine, no warm start. The optional solver knobs exist for the
-    ablation bench; the defaults are right for all other callers. *)
+(** One-shot exact solve: a fresh {!Solver} session per call, no warm
+    start, so the pivot sequence is the tableau oracle's. The optional
+    solver knobs exist for the ablation bench; the defaults are right
+    for all other callers. *)
 
 val check_solution : problem -> solution -> bool
 (** Independent certificate: every constraint, bound, and the claimed
     objective re-evaluated against the solution values. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
-
-(** {1 Floating-point mirror (for the numeric ablation)} *)
-
-type float_solution = { fobjective : float; fvalues : float array }
-type float_outcome = Foptimal of float_solution | Finfeasible | Funbounded
-
-val solve_float : ?pricing:Simplex.Exact.pricing -> problem -> float_outcome
-(** The same compiled model, solved by the float simplex under the
-    requested pricing rule (translated to the float instance's
-    constructors). Fast but untrustworthy on degenerate instances — see
-    the ABL2 bench. *)

@@ -1,6 +1,7 @@
 (* Revised primal simplex over exact rationals; see revised.mli.
 
-   Decision-for-decision replication of Simplex.Exact's dense tableau:
+   Decision-for-decision replication of the dense tableau oracle
+   (Lp_oracle.Simplex, test/oracle/):
    every quantity the oracle reads off the tableau (reduced costs,
    ratio columns, lexicographic scores) is recomputed here from the
    factorized basis inverse — exactly, in ℚ — so the branch structure
@@ -8,9 +9,8 @@
    order, stall counter, Bland fallback) matches the oracle pivot for
    pivot on cold solves. *)
 
-module Budget = Resilience.Budget
 module Solver_error = Resilience.Solver_error
-module Fault = Resilience.Fault
+module Guard = Resilience.Guard
 module R = Rat
 
 type csc = {
@@ -27,6 +27,8 @@ type result =
 
 type warm_outcome = Cold | Warm_hit | Warm_miss
 
+type pricing = Dantzig_lex | Bland
+
 type stats = {
   pivots : int;
   refactorizations : int;
@@ -39,61 +41,6 @@ type solved = {
   basis : int array option;
   stats : stats;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Guard: identical semantics to Simplex.Make's per-solve guard, so    *)
-(* budget exhaustion and injected faults produce the same witnesses at *)
-(* the same pricing iterations.                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* analysis: domain-local — one guard record per solve call, never
-   escapes the solving domain. *)
-type guard = {
-  g_budget : Budget.t option;
-  g_faults : bool;
-  g_track_bits : bool;
-  g_active : bool;
-  mutable g_pivots : int;
-  mutable g_peak_bits : int;
-}
-
-let make_guard budget =
-  let faults = Fault.enabled () in
-  let has_bits_cap =
-    match budget with Some b -> b.Budget.max_bits <> None | None -> false
-  in
-  {
-    g_budget = budget;
-    g_faults = faults;
-    g_track_bits = faults || has_bits_cap;
-    g_active = faults || Option.is_some budget;
-    g_pivots = 0;
-    g_peak_bits = 0;
-  }
-
-let guard_check g ~site =
-  if not g.g_active then None
-  else begin
-    let exhaust kind =
-      Some
-        { Solver_error.site; kind; pivots = g.g_pivots; peak_bits = g.g_peak_bits }
-    in
-    let action = if g.g_faults then Fault.hit site else None in
-    match action with
-    | Some Fault.Trip -> exhaust Solver_error.Injected
-    | Some (Fault.Exhaust kind) -> exhaust kind
-    | (Some (Fault.Blowup_bits _) | None) as a ->
-      (match a with
-      | Some (Fault.Blowup_bits bits) ->
-        if bits > g.g_peak_bits then g.g_peak_bits <- bits
-      | _ -> ());
-      (match g.g_budget with
-      | None -> None
-      | Some b -> (
-        match Budget.check b ~pivots:g.g_pivots ~peak_bits:g.g_peak_bits with
-        | None -> None
-        | Some kind -> exhaust kind))
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Eta chain (product-form inverse)                                    *)
@@ -261,7 +208,7 @@ let refactor st =
   end
 
 (* Execute a pivot: entering [col] with FTRAN'd column [u], leaving row
-   [row]. Obs accounting matches Simplex.pivot exactly. *)
+   [row]. Obs accounting matches the oracle's pivot exactly. *)
 let apply_pivot st ~row ~col (u : R.t array) =
   assert (not (R.is_zero u.(row)));
   if Obs.enabled () then begin
@@ -299,33 +246,31 @@ let binv_row st i =
   btran st rho;
   rho
 
-(* Tableau entry t.(i).(j) of the oracle, reconstructed: j ranges over
+(* The oracle's tableau entry t.(i).(j), reconstructed: j ranges over
    structural columns, artificial columns, then the rhs (j = total). *)
 let row_entry st rho i j =
   if j < st.n then dot_col st rho j
   else if j < total_cols st then rho.(st.art_row.(j - st.n))
   else st.xb.(i)
 
+(* Degenerate pivots in a row before the Dantzig rule gives way to
+   Bland's for the rest of the phase; the oracle reads this value, so
+   both engines fall back at the same tie. *)
 let stall_threshold = 600
-(* Keep equal to Simplex.stall_threshold: the Bland fallback must fire
-   at the same degenerate tie as the oracle's. *)
 
-(* The optimize loop, mirroring Simplex.optimize's structure.
+(* The optimize loop, mirroring the oracle's optimize structure.
    [cost_of] gives the active objective coefficient per column. *)
 let optimize ~pricing ~guard ~site st ~allowed_n ~cost_of =
-  let use_bland = ref (pricing = Simplex.Exact.Bland) in
+  let use_bland = ref (pricing = Bland) in
   let stall = ref 0 in
   let u = st.w_col in
   let do_pivot ~row ~col =
-    guard.g_pivots <- guard.g_pivots + 1;
-    if guard.g_track_bits then begin
-      let bits = R.bit_size u.(row) in
-      if bits > guard.g_peak_bits then guard.g_peak_bits <- bits
-    end;
+    Guard.count_pivot guard;
+    if Guard.tracks_bits guard then Guard.note_bits guard (R.bit_size u.(row));
     apply_pivot st ~row ~col u
   in
   let rec loop () =
-    match guard_check guard ~site with
+    match Guard.check guard ~site with
     | Some ex -> `Exhausted ex
     | None -> loop_body ()
   and loop_body () =
@@ -513,9 +458,9 @@ let fresh_state ~m ~n ~n_art ~cp ~ri ~vx ~art_row ~row_mult ~basis ~bt =
     pivots_total = 0;
   }
 
-let solve ?(pricing = Simplex.Exact.Dantzig_lex) ?(crash = true) ?budget ?warm
+let solve ?(pricing = Dantzig_lex) ?(crash = true) ?budget ?warm
     ~(a : csc) ~(b : R.t array) ~(c : R.t array) () : solved =
-  let guard = make_guard budget in
+  let guard = Guard.make budget in
   let m = a.m and n = a.n in
   if Array.length b <> m then invalid_arg "Revised: |b| <> rows A";
   if Array.length c <> n then invalid_arg "Revised: |c| <> cols A";

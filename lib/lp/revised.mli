@@ -1,16 +1,18 @@
-(** Revised primal simplex with a product-form basis factorization.
+(** Revised primal simplex with a product-form basis factorization:
+    the one LP engine in [lib/].
 
-    Solves the same standard-form problem as the dense oracle in
-    {!Simplex} — {v min c.x  s.t.  A x = b, x >= 0 v} — but stores the
-    constraint matrix column-wise and sparse (CSC over {!Rat.t}) and
-    replaces full-tableau pivots with an incrementally updated eta
-    chain (FTRAN/BTRAN), refactorized periodically. Pricing, ratio
+    Solves the standard-form problem {v min c.x  s.t.  A x = b, x >= 0 v}
+    with the constraint matrix stored column-wise and sparse (CSC over
+    {!Rat.t}), pivoting through an incrementally updated eta chain
+    (FTRAN/BTRAN) that is refactorized periodically. Pricing, ratio
     test, lexicographic tie-break, stall accounting, and the Bland
-    fallback replicate {!Simplex.Exact}'s decisions {e exactly} (same
-    scan orders, same strict comparisons, exact ℚ arithmetic), so a
-    cold solve visits the same pivot sequence and returns byte-identical
-    objective, solution, and duals — the qcheck property and the
-    [@lp-bench] gate both enforce this against the retained oracle.
+    fallback replicate the dense full-tableau oracle's decisions
+    {e exactly} (same scan orders, same strict comparisons, exact ℚ
+    arithmetic), so a cold solve visits the oracle's pivot sequence
+    and returns byte-identical objective, solution, and duals. The
+    oracle is the test-only [lp_oracle] library (test/oracle/); the
+    qcheck property and the [@lp-bench] gate both hold this engine to
+    it.
 
     The extra capability over the oracle is the warm start: a previous
     optimum's basis (structural column per row) can seed a new solve of
@@ -35,6 +37,15 @@ type result =
 
 type warm_outcome = Cold | Warm_hit | Warm_miss
 
+type pricing =
+  | Dantzig_lex  (** most-negative reduced cost + lexicographic ratio test (default) *)
+  | Bland  (** smallest-index anti-cycling rule; slow but unconditionally terminating *)
+
+val stall_threshold : int
+(** Consecutive degenerate pivots after which [Dantzig_lex] falls back
+    to Bland's rule for the rest of the phase. Shared with the oracle
+    so both engines switch at the same tie. *)
+
 type stats = {
   pivots : int;  (** every executed pivot, drive-out pivots included *)
   refactorizations : int;  (** eta-chain rebuilds ([lp.refactor] in Obs) *)
@@ -51,7 +62,7 @@ type solved = {
 }
 
 val solve :
-  ?pricing:Simplex.Exact.pricing ->
+  ?pricing:pricing ->
   ?crash:bool ->
   ?budget:Resilience.Budget.t ->
   ?warm:int array ->
@@ -60,9 +71,8 @@ val solve :
   c:Rat.t array ->
   unit ->
   solved
-(** Budget and ambient-fault semantics are the oracle's, checked once
-    per pricing iteration at the same sites ([simplex.phase1],
-    [simplex.phase2]). [warm] is attempted first and silently degrades
-    to a cold solve ([Warm_miss]) when the basis is singular against
-    the new matrix, primal-infeasible for the new data, or shaped
-    wrong. *)
+(** One {!Resilience.Guard} per solve, checked once per pricing
+    iteration at the sites [simplex.phase1] and [simplex.phase2].
+    [warm] is attempted first and silently degrades to a cold solve
+    ([Warm_miss]) when the basis is singular against the new matrix,
+    primal-infeasible for the new data, or shaped wrong. *)

@@ -31,10 +31,15 @@ let den t = t.den
    inline in Bigint ([B.to_small]) and below 2^30 in magnitude, the
    cross products fit a native int with headroom for one addition, so
    add/sub/mul/div/compare — including the gcd normalization — run
-   entirely on native ints with no bignum intermediates. Components at
-   or beyond 2^30 (rare: bench histograms put typical LP coefficients
-   near 16 bits) fall through to the exact slow path. *)
+   entirely on native ints with no bignum intermediates and no
+   allocation beyond the result. Components at or beyond 2^30 (rare:
+   bench histograms put typical LP coefficients near 16 bits) fall
+   through to the exact slow path, and so does a limb-form component:
+   its [B.not_small] (min_int) is outside the range. *)
 let fast_component n = -0x3FFF_FFFF <= n && n <= 0x3FFF_FFFF
+
+let fast an ad bn bd =
+  fast_component an && fast_component ad && fast_component bn && fast_component bd
 
 let rec igcd a b = if b = 0 then a else igcd b (a mod b)
 
@@ -56,11 +61,10 @@ let equal a b = B.equal a.num b.num && B.equal a.den b.den
 let compare a b =
   (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den
      (both denominators positive). *)
-  match (B.to_small a.num, B.to_small a.den, B.to_small b.num, B.to_small b.den) with
-  | Some an, Some ad, Some bn, Some bd
-    when fast_component an && fast_component ad && fast_component bn && fast_component bd ->
-    Stdlib.compare (an * bd) (bn * ad)
-  | _ -> B.compare (B.mul a.num b.den) (B.mul b.num a.den)
+  let an = B.to_small a.num and ad = B.to_small a.den in
+  let bn = B.to_small b.num and bd = B.to_small b.den in
+  if fast an ad bn bd then Stdlib.compare (an * bd) (bn * ad)
+  else B.compare (B.mul a.num b.den) (B.mul b.num a.den)
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
@@ -76,57 +80,52 @@ let abs t = { t with num = B.abs t.num }
    cross pairs instead of the full products, and the results below are
    reduced by construction — no gcd over wide products ever runs. *)
 let add a b =
-  match (B.to_small a.num, B.to_small a.den, B.to_small b.num, B.to_small b.den) with
-  | Some an, Some ad, Some bn, Some bd
-    when fast_component an && fast_component ad && fast_component bn && fast_component bd ->
-    make_fast ((an * bd) + (bn * ad)) (ad * bd)
-  | _ ->
-    if B.is_zero a.num then b
-    else if B.is_zero b.num then a
+  let an = B.to_small a.num and ad = B.to_small a.den in
+  let bn = B.to_small b.num and bd = B.to_small b.den in
+  if fast an ad bn bd then make_fast ((an * bd) + (bn * ad)) (ad * bd)
+  else if B.is_zero a.num then b
+  else if B.is_zero b.num then a
+  else begin
+    let d1 = B.gcd a.den b.den in
+    if B.is_one d1 then
+      (* Coprime denominators: the sum is already in lowest terms. *)
+      { num = B.add (B.mul a.num b.den) (B.mul b.num a.den); den = B.mul a.den b.den }
     else begin
-      let d1 = B.gcd a.den b.den in
-      if B.is_one d1 then
-        (* Coprime denominators: the sum is already in lowest terms. *)
-        { num = B.add (B.mul a.num b.den) (B.mul b.num a.den); den = B.mul a.den b.den }
+      let ad' = B.div a.den d1 and bd' = B.div b.den d1 in
+      let t = B.add (B.mul a.num bd') (B.mul b.num ad') in
+      if B.is_zero t then { num = B.zero; den = B.one }
       else begin
-        let ad' = B.div a.den d1 and bd' = B.div b.den d1 in
-        let t = B.add (B.mul a.num bd') (B.mul b.num ad') in
-        if B.is_zero t then { num = B.zero; den = B.one }
-        else begin
-          (* gcd(t, ad'·bd'·d1) = gcd(t, d1): a common prime with ad'
-             or bd' would divide b.num or a.num respectively. *)
-          let d2 = B.gcd t d1 in
-          if B.is_one d2 then { num = t; den = B.mul (B.mul ad' bd') d1 }
-          else { num = B.div t d2; den = B.mul ad' (B.div b.den d2) }
-        end
+        (* gcd(t, ad'·bd'·d1) = gcd(t, d1): a common prime with ad'
+           or bd' would divide b.num or a.num respectively. *)
+        let d2 = B.gcd t d1 in
+        if B.is_one d2 then { num = t; den = B.mul (B.mul ad' bd') d1 }
+        else { num = B.div t d2; den = B.mul ad' (B.div b.den d2) }
       end
     end
+  end
 
 let sub a b =
-  match (B.to_small a.num, B.to_small a.den, B.to_small b.num, B.to_small b.den) with
-  | Some an, Some ad, Some bn, Some bd
-    when fast_component an && fast_component ad && fast_component bn && fast_component bd ->
-    make_fast ((an * bd) - (bn * ad)) (ad * bd)
-  | _ -> add a (neg b)
+  let an = B.to_small a.num and ad = B.to_small a.den in
+  let bn = B.to_small b.num and bd = B.to_small b.den in
+  if fast an ad bn bd then make_fast ((an * bd) - (bn * ad)) (ad * bd)
+  else add a (neg b)
 
 let mul a b =
-  match (B.to_small a.num, B.to_small a.den, B.to_small b.num, B.to_small b.den) with
-  | Some an, Some ad, Some bn, Some bd
-    when fast_component an && fast_component ad && fast_component bn && fast_component bd ->
-    make_fast (an * bn) (ad * bd)
-  | _ ->
-    if B.is_zero a.num || B.is_zero b.num then { num = B.zero; den = B.one }
-    else begin
-      (* Cross-reduce before multiplying: with reduced operands,
-         (a.num/g1)·(b.num/g2) over (a.den/g2)·(b.den/g1) is itself
-         reduced, and both gcds run on narrow values. *)
-      let g1 = B.gcd a.num b.den and g2 = B.gcd b.num a.den in
-      let n1 = if B.is_one g1 then a.num else B.div a.num g1 in
-      let d1 = if B.is_one g1 then b.den else B.div b.den g1 in
-      let n2 = if B.is_one g2 then b.num else B.div b.num g2 in
-      let d2 = if B.is_one g2 then a.den else B.div a.den g2 in
-      { num = B.mul n1 n2; den = B.mul d2 d1 }
-    end
+  let an = B.to_small a.num and ad = B.to_small a.den in
+  let bn = B.to_small b.num and bd = B.to_small b.den in
+  if fast an ad bn bd then make_fast (an * bn) (ad * bd)
+  else if B.is_zero a.num || B.is_zero b.num then { num = B.zero; den = B.one }
+  else begin
+    (* Cross-reduce before multiplying: with reduced operands,
+       (a.num/g1)·(b.num/g2) over (a.den/g2)·(b.den/g1) is itself
+       reduced, and both gcds run on narrow values. *)
+    let g1 = B.gcd a.num b.den and g2 = B.gcd b.num a.den in
+    let n1 = if B.is_one g1 then a.num else B.div a.num g1 in
+    let d1 = if B.is_one g1 then b.den else B.div b.den g1 in
+    let n2 = if B.is_one g2 then b.num else B.div b.num g2 in
+    let d2 = if B.is_one g2 then a.den else B.div a.den g2 in
+    { num = B.mul n1 n2; den = B.mul d2 d1 }
+  end
 
 let inv t =
   if is_zero t then raise Division_by_zero;
@@ -134,13 +133,14 @@ let inv t =
   else { num = t.den; den = t.num }
 
 let div a b =
-  match (B.to_small a.num, B.to_small a.den, B.to_small b.num, B.to_small b.den) with
-  | Some an, Some ad, Some bn, Some bd
-    when fast_component an && fast_component ad && fast_component bn && fast_component bd ->
+  let an = B.to_small a.num and ad = B.to_small a.den in
+  let bn = B.to_small b.num and bd = B.to_small b.den in
+  if fast an ad bn bd then begin
     if bn = 0 then raise Division_by_zero;
     let num = an * bd and den = ad * bn in
     if den < 0 then make_fast (-num) (-den) else make_fast num den
-  | _ -> mul a (inv b)
+  end
+  else mul a (inv b)
 
 let pow t e =
   if e >= 0 then { num = B.pow t.num e; den = B.pow t.den e }

@@ -1,80 +1,21 @@
 (** Two-phase primal simplex on the dense tableau, with Bland's
-    anti-cycling rule.
+    anti-cycling rule: the test oracle for [Lp.Revised].
 
     Solves the standard-form problem
 
     {v min c.x  subject to  A x = b,  x >= 0 v}
 
-    The functor form gives both an exact solver (over {!Field.Rational},
-    the default throughout the reproduction: optimal privacy mechanisms
-    sit at highly degenerate vertices where floating point
-    mis-classifies tight constraints) and a floating-point mirror used
-    for performance comparison. *)
+    The functor form gives both an exact solver (over
+    {!Linalg.Field.Rational}) and a floating-point mirror used for the
+    numeric ablation. *)
 
 module Make (F : Linalg.Field.S) = struct
-  module Budget = Resilience.Budget
   module Solver_error = Resilience.Solver_error
-  module Fault = Resilience.Fault
+  module Guard = Resilience.Guard
 
   type result =
     | Optimal of F.t * F.t array  (** objective value, primal solution *)
     | Failed of Solver_error.t
-
-  (* Per-solve resource accounting shared by both phases. When no
-     budget is given and no fault plan is ambient the guard is inert:
-     each loop iteration pays one field read. *)
-  (* analysis: domain-local — one guard record is allocated per solve
-     call and never escapes the solving domain. *)
-  type guard = {
-    g_budget : Budget.t option;
-    g_faults : bool;  (** a fault plan was ambient at solve entry *)
-    g_track_bits : bool;
-    g_active : bool;
-    mutable g_pivots : int;
-    mutable g_peak_bits : int;
-  }
-
-  let make_guard budget =
-    let faults = Fault.enabled () in
-    let has_bits_cap =
-      match budget with Some b -> b.Budget.max_bits <> None | None -> false
-    in
-    {
-      g_budget = budget;
-      g_faults = faults;
-      g_track_bits = faults || has_bits_cap;
-      g_active = faults || Option.is_some budget;
-      g_pivots = 0;
-      g_peak_bits = 0;
-    }
-
-  (* One check per pricing iteration (and hence at entry of each phase,
-     before any pivot): first the ambient fault plan — a firing trigger
-     either forces an exhaustion verdict or injects bit blow-up — then
-     the budget dimensions in deterministic order (see {!Budget.check}). *)
-  let guard_check g ~site =
-    if not g.g_active then None
-    else begin
-      let exhaust kind =
-        Some
-          { Solver_error.site; kind; pivots = g.g_pivots; peak_bits = g.g_peak_bits }
-      in
-      let action = if g.g_faults then Fault.hit site else None in
-      match action with
-      | Some Fault.Trip -> exhaust Solver_error.Injected
-      | Some (Fault.Exhaust kind) -> exhaust kind
-      | (Some (Fault.Blowup_bits _) | None) as a ->
-        (match a with
-        | Some (Fault.Blowup_bits bits) ->
-          if bits > g.g_peak_bits then g.g_peak_bits <- bits
-        | _ -> ());
-        (match g.g_budget with
-        | None -> None
-        | Some b -> (
-          match Budget.check b ~pivots:g.g_pivots ~peak_bits:g.g_peak_bits with
-          | None -> None
-          | Some kind -> exhaust kind))
-    end
 
   (* The tableau has [m] constraint rows and one objective row (index
      [m]).  Columns: [0 .. total_cols-1] are variables, column
@@ -130,9 +71,7 @@ module Make (F : Linalg.Field.S) = struct
      any pricing rule — without Bland's long simplex paths.
      [allowed] filters candidate entering columns (used to freeze
      artificials in phase 2). *)
-  let stall_threshold = 600
-
-  type pricing = Dantzig_lex | Bland
+  type pricing = Lp.Revised.pricing = Dantzig_lex | Bland
 
   let optimize ?(pricing = Dantzig_lex) ~guard ~site tab ~allowed =
     let a = tab.t in
@@ -144,15 +83,12 @@ module Make (F : Linalg.Field.S) = struct
     let use_bland = ref (pricing = Bland) in
     let stall = ref 0 in
     let do_pivot ~row ~col =
-      guard.g_pivots <- guard.g_pivots + 1;
-      if guard.g_track_bits then begin
-        let bits = F.bit_size a.(row).(col) in
-        if bits > guard.g_peak_bits then guard.g_peak_bits <- bits
-      end;
+      Guard.count_pivot guard;
+      if Guard.tracks_bits guard then Guard.note_bits guard (F.bit_size a.(row).(col));
       pivot tab ~row ~col
     in
     let rec loop () =
-      match guard_check guard ~site with
+      match Guard.check guard ~site with
       | Some ex -> `Exhausted ex
       | None -> loop_body ()
     and loop_body () =
@@ -201,7 +137,7 @@ module Make (F : Linalg.Field.S) = struct
         (if F.is_zero !best_ratio then begin
            incr stall;
            Obs.incr "simplex.degenerate_ties";
-           if !stall > stall_threshold && not !use_bland then begin
+           if !stall > Lp.Revised.stall_threshold && not !use_bland then begin
              Obs.incr "simplex.bland_fallbacks";
              use_bland := true
            end
@@ -273,7 +209,7 @@ module Make (F : Linalg.Field.S) = struct
 
   let solve_standard_internal ?pricing ?(crash = true) ?budget ~duals_out
       ~(a : F.t array array) ~(b : F.t array) ~(c : F.t array) () : result =
-    let guard = make_guard budget in
+    let guard = Guard.make budget in
     let m = Array.length a in
     let n = Array.length c in
     Array.iter (fun row -> if Array.length row <> n then invalid_arg "Simplex: ragged A") a;
@@ -454,11 +390,6 @@ module Make (F : Linalg.Field.S) = struct
     let duals_out = ref None in
     solve_standard_internal ?pricing ?crash ?budget ~duals_out ~a ~b ~c ()
 
-  (** Like {!solve_standard} but also returns, on optimality, the dual
-      vector [y] (one entry per row, original row orientation): it
-      satisfies [y·b = objective] (strong duality) and
-      [c_j − y·A_j >= 0] for every column — a complete optimality
-      certificate that tests verify independently. *)
   let solve_standard_with_duals ?pricing ?crash ?budget ~a ~b ~c () =
     let duals_out = ref None in
     let result = solve_standard_internal ?pricing ?crash ?budget ~duals_out ~a ~b ~c () in
@@ -480,4 +411,4 @@ module Make (F : Linalg.Field.S) = struct
 end
 
 module Exact = Make (Linalg.Field.Rational)
-module Floating = Make (Linalg.Field.Float_field)
+module Floating = Make (Float_field)

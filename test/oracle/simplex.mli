@@ -1,12 +1,12 @@
-(** Two-phase primal simplex on the dense tableau.
+(** Two-phase primal simplex on the dense tableau: the test oracle the
+    revised engine ([Lp.Revised]) replicates pivot for pivot.
 
     Solves the standard-form problem {v min c.x  s.t.  A x = b, x >= 0 v}.
 
-    The functor gives both the exact solver (over {!Linalg.Field.Rational},
-    the default throughout the reproduction — optimal privacy mechanisms
-    sit at highly degenerate vertices where floating point mis-classifies
-    tight constraints) and a floating-point mirror used for performance
-    comparison.
+    The functor gives both the exact solver (over {!Linalg.Field.Rational}
+    — optimal privacy mechanisms sit at highly degenerate vertices where
+    floating point mis-classifies tight constraints) and a
+    floating-point mirror used for the numeric ablation.
 
     Implementation choices (see the ABL1 bench for their measured
     impact): Dantzig pricing with a lexicographic ratio test and a
@@ -15,44 +15,35 @@
     artificial variables. *)
 
 module Make (F : Linalg.Field.S) : sig
-  module Budget = Resilience.Budget
   module Solver_error = Resilience.Solver_error
-  module Fault = Resilience.Fault
 
   type result =
     | Optimal of F.t * F.t array  (** objective value, primal solution *)
     | Failed of Solver_error.t
-        (** infeasible, unbounded, or — under a {!Budget.t} or an
-            ambient {!Fault.plan} — exhausted mid-phase, with the
-            stage, pivots spent and peak coefficient bits. *)
+        (** infeasible, unbounded, or exhausted mid-phase under a
+            budget or an ambient fault plan. *)
 
-  type pricing =
-    | Dantzig_lex  (** most-negative reduced cost + lexicographic ratio test (default) *)
-    | Bland  (** smallest-index anti-cycling rule; slow but unconditionally terminating *)
+  type pricing = Lp.Revised.pricing = Dantzig_lex | Bland
 
   val solve_standard :
     ?pricing:pricing ->
     ?crash:bool ->
-    ?budget:Budget.t ->
+    ?budget:Resilience.Budget.t ->
     a:F.t array array ->
     b:F.t array ->
     c:F.t array ->
     unit ->
     result
   (** [crash] (default true) enables the singleton-column crash basis.
-      [budget] bounds the solve: the guard checks the fault registry
-      and every budget dimension once per pricing iteration at the
-      sites ["simplex.phase1"] / ["simplex.phase2"], so exhaustion is
-      detected before the offending pivot, never after. Without a
-      budget or an ambient fault plan the per-iteration cost is one
-      field read and the pivot sequence is byte-identical to the
-      unguarded solver.
+      [budget] bounds the solve through the same {!Resilience.Guard}
+      the revised engine runs, checked once per pricing iteration at
+      the sites ["simplex.phase1"] / ["simplex.phase2"].
       @raise Invalid_argument on shape mismatches. *)
 
   val solve_standard_with_duals :
     ?pricing:pricing ->
     ?crash:bool ->
-    ?budget:Budget.t ->
+    ?budget:Resilience.Budget.t ->
     a:F.t array array ->
     b:F.t array ->
     c:F.t array ->
@@ -69,4 +60,4 @@ module Make (F : Linalg.Field.S) : sig
 end
 
 module Exact : module type of Make (Linalg.Field.Rational)
-module Floating : module type of Make (Linalg.Field.Float_field)
+module Floating : module type of Make (Float_field)

@@ -329,6 +329,40 @@ let test_serve_roots_cover_dpserved () =
           (String.concat " -> " chain))
     daemon
 
+(* The exact LP core is float-free by construction: with the default
+   configuration and no baseline, the float-taint pass finds nothing
+   under lib/linalg or lib/lp. The float field, the float matrices and
+   the float simplex live in the test-only lp_oracle library, outside
+   the scanned roots. *)
+let test_exact_lp_core_float_free () =
+  let anchor = List.map (fun p -> "../" ^ p) in
+  let c = A.default_config in
+  let cfg =
+    {
+      A.roots = anchor c.roots;
+      core_dirs = anchor c.core_dirs;
+      serve_roots = anchor c.serve_roots;
+      clock_exempt = anchor c.clock_exempt;
+    }
+  in
+  let in_lp_core (d : D.t) =
+    match d.location with
+    | D.Source_line { file; _ } ->
+      A.Modgraph.under ~dirs_or_files:(anchor [ "lib/linalg"; "lib/lp" ]) file
+    | _ -> false
+  in
+  (* Vacuity guard: the scan must actually reach the LP core. *)
+  Alcotest.(check bool) "lib/lp/lp.ml scanned" true
+    (List.mem "../lib/lp/lp.ml" (A.Modgraph.paths (A.Modgraph.build ~roots:cfg.roots)));
+  let tainted =
+    List.filter
+      (fun (d : D.t) -> d.rule = "analysis/float-taint" && in_lp_core d)
+      (A.run cfg).A.diagnostics
+  in
+  List.iter (fun d -> Format.eprintf "%a@." D.pp d) tainted;
+  Alcotest.(check int) "float-taint findings under lib/linalg and lib/lp" 0
+    (List.length tainted)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -342,6 +376,11 @@ let () =
         [
           Alcotest.test_case "roots cover dpserved's closure" `Quick
             test_serve_roots_cover_dpserved;
+        ] );
+      ( "exact-core",
+        [
+          Alcotest.test_case "lib/linalg and lib/lp float-free" `Quick
+            test_exact_lp_core_float_free;
         ] );
       ( "baseline",
         [

@@ -245,6 +245,16 @@ let test_lint_float_eq () =
     (flagged "let f ?(eps = 1e-9) x = x +. eps\n");
   Alcotest.(check (list string)) "record field exempt" []
     (flagged "let d = { mass = 0.5; tag = 1 }\n");
+  Alcotest.(check (list string)) "parenthesized compare" [ "lint/float-eq" ]
+    (flagged "let f x = if (x = 0.5) then 1 else 2\n");
+  Alcotest.(check (list string)) "compare after sequence" [ "lint/float-eq" ]
+    (flagged "let f a x = ignore a; x = 0.5\n");
+  Alcotest.(check (list string)) "record field on its own line exempt" []
+    (flagged "let d =\n  { mass = 1;\n    f = 0.5 }\n");
+  Alcotest.(check (list string)) "functional update exempt" []
+    (flagged "let d r = { r with f = 0.5 }\n");
+  Alcotest.(check (list string)) "compare inside a field value" [ "lint/float-eq" ]
+    (flagged "let d x = { ok = (x = 0.5) }\n");
   Alcotest.(check (list string)) "<= not flagged" []
     (flagged "let f x = x <= 0.5\n");
   Alcotest.(check (list string)) "int compare not flagged" []

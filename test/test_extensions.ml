@@ -291,8 +291,8 @@ let test_pricing_rules_agree () =
     p
   in
   match
-    ( Lp.solve ~pricing:Lp.Simplex.Exact.Dantzig_lex (build ()),
-      Lp.solve ~pricing:Lp.Simplex.Exact.Bland (build ()) )
+    ( Lp.solve ~pricing:Lp.Revised.Dantzig_lex (build ()),
+      Lp.solve ~pricing:Lp.Revised.Bland (build ()) )
   with
   | Lp.Optimal a, Lp.Optimal b -> Alcotest.check rat "same objective" a.objective b.objective
   | _ -> Alcotest.fail "both must be optimal"

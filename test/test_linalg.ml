@@ -4,7 +4,7 @@
    one. *)
 
 module Qm = Linalg.Matrix.Q
-module Fm = Linalg.Matrix.Fl
+module Fm = Lp_oracle.Fl
 
 let q = Rat.of_ints
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -128,7 +128,7 @@ let test_stochastic_group () =
 
 let test_float_crosscheck () =
   let a = m_of_ints [ [ 4; 7; 1 ]; [ 2; 6; 3 ]; [ 1; 1; 1 ] ] in
-  let fa = Linalg.Matrix.q_to_float a in
+  let fa = Lp_oracle.q_to_float a in
   let det_q = Rat.to_float (Qm.determinant a) in
   let det_f = Fm.determinant fa in
   Alcotest.(check (float 1e-9)) "determinants agree" det_q det_f;

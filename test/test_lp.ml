@@ -381,9 +381,10 @@ let test_float_mirror_agrees () =
   Lp.add_le p Lp.Expr.(add (var x) (var y)) (q 10 1);
   Lp.add_le p Lp.Expr.(add (term (q 2 1) x) (var y)) (q 15 1);
   Lp.set_objective p Lp.Maximize Lp.Expr.(add (term (q 3 1) x) (term (q 2 1) y));
-  match (Lp.solve p, Lp.solve_float p) with
-  | Lp.Optimal s, Lp.Foptimal f ->
-    Alcotest.(check (float 1e-9)) "objectives" (Rat.to_float s.objective) f.Lp.fobjective
+  match (Lp.solve p, Lp_oracle.solve_float p) with
+  | Lp.Optimal s, Lp_oracle.Foptimal f ->
+    Alcotest.(check (float 1e-9))
+      "objectives" (Rat.to_float s.objective) f.Lp_oracle.fobjective
   | _ -> Alcotest.fail "both optimal"
 
 let test_float_mirror_infeasible () =
@@ -392,16 +393,16 @@ let test_float_mirror_infeasible () =
   Lp.add_ge p (Lp.Expr.var x) (q 3 1);
   Lp.add_le p (Lp.Expr.var x) (q 1 1);
   Lp.set_objective p Lp.Minimize (Lp.Expr.var x);
-  match Lp.solve_float p with
-  | Lp.Finfeasible -> ()
+  match Lp_oracle.solve_float p with
+  | Lp_oracle.Finfeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_float_mirror_unbounded () =
   let p = Lp.make () in
   let x = Lp.fresh_var p in
   Lp.set_objective p Lp.Maximize (Lp.Expr.var x);
-  match Lp.solve_float p with
-  | Lp.Funbounded -> ()
+  match Lp_oracle.solve_float p with
+  | Lp_oracle.Funbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let prop_float_tracks_exact =
@@ -417,9 +418,9 @@ let prop_float_tracks_exact =
            Lp.set_objective p Lp.Maximize Lp.Expr.(add (term cx x) (term cy y));
            p
          in
-         match (Lp.solve (build ()), Lp.solve_float (build ())) with
-         | Lp.Optimal s, Lp.Foptimal f ->
-           Float.abs (Rat.to_float s.objective -. f.Lp.fobjective) < 1e-6
+         match (Lp.solve (build ()), Lp_oracle.solve_float (build ())) with
+         | Lp.Optimal s, Lp_oracle.Foptimal f ->
+           Float.abs (Rat.to_float s.objective -. f.Lp_oracle.fobjective) < 1e-6
          | _ -> false))
 
 (* --------------------------------------------------------------- *)
@@ -477,17 +478,13 @@ let prop_revised_matches_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"revised simplex ≡ tableau oracle (banded)" ~count:200
        arb_banded_lp (fun spec ->
-         let r_rev =
-           Lp.Solver.solve (Lp.Solver.create ~engine:Lp.Solver.Revised ()) (build_banded spec)
-         in
-         let r_tab =
-           Lp.Solver.solve (Lp.Solver.create ~engine:Lp.Solver.Tableau ()) (build_banded spec)
-         in
-         match (r_rev.Lp.Solver.outcome, r_tab.Lp.Solver.outcome) with
+         let r_rev = Lp.Solver.solve (Lp.Solver.create ()) (build_banded spec) in
+         let tab_outcome, tab_duals = Lp_oracle.solve (build_banded spec) in
+         match (r_rev.Lp.Solver.outcome, tab_outcome) with
          | Lp.Optimal a, Lp.Optimal b ->
            Rat.equal a.Lp.objective b.Lp.objective
            && Array.for_all2 Rat.equal a.Lp.values b.Lp.values
-           && (match (r_rev.Lp.Solver.duals, r_tab.Lp.Solver.duals) with
+           && (match (r_rev.Lp.Solver.duals, tab_duals) with
               | Some da, Some db -> Array.for_all2 Rat.equal da db
               | _ -> false)
            && Lp.check_solution (build_banded spec) a

@@ -165,15 +165,23 @@ let test_promotion_boundary () =
   let two62 = B.shift_left B.one 62 in
   let below = B.sub two62 B.one in
   (* 2^62 - 1 is the largest inline value; 2^62 must be promoted. *)
-  Alcotest.(check bool) "2^62-1 inline" true (B.to_small below <> None);
-  Alcotest.(check bool) "2^62 promoted" true (B.to_small two62 = None);
-  Alcotest.(check bool) "-(2^62-1) inline" true (B.to_small (B.neg below) <> None);
-  Alcotest.(check bool) "-2^62 promoted" true (B.to_small (B.neg two62) = None);
+  Alcotest.(check int) "2^62-1 inline" max_int (B.to_small below);
+  Alcotest.(check int) "2^62 promoted" B.not_small (B.to_small two62);
+  Alcotest.(check int) "-(2^62-1) inline" (-max_int) (B.to_small (B.neg below));
+  Alcotest.(check int) "-2^62 promoted" B.not_small (B.to_small (B.neg two62));
+  (* [B.not_small] is [min_int] = -2^62, so the [to_small] checks above
+     cannot tell a limb-form ±2^62 from one wrapped inline to
+     [min_int]. Pin behaviour an inline [min_int] would break: [neg]
+     and [abs] map it to itself, and it never equals a limb value. *)
+  Alcotest.(check bool) "2^62 positive" true (B.sign two62 = 1);
+  Alcotest.(check bool) "-2^62 is of_int min_int" true (B.equal (B.neg two62) (B.of_int min_int));
+  Alcotest.(check bool) "neg (neg 2^62)" true (B.equal (B.neg (B.neg two62)) two62);
+  Alcotest.(check bool) "abs (-2^62)" true (B.equal (B.abs (B.neg two62)) two62);
   (* Crossing the boundary in both directions stays exact. *)
   Alcotest.(check bool) "increment promotes exactly" true (B.equal (B.add below B.one) two62);
+  Alcotest.(check string) "increment prints" "4611686018427387904" (B.to_string (B.add below B.one));
   Alcotest.(check bool) "decrement demotes exactly" true (B.equal (B.sub two62 B.one) below);
-  Alcotest.(check bool) "demoted value inline again" true
-    (B.to_small (B.sub two62 B.one) <> None);
+  Alcotest.(check int) "demoted value inline again" max_int (B.to_small (B.sub two62 B.one));
   Alcotest.(check string) "2^62 prints" "4611686018427387904" (B.to_string two62)
 
 let test_rat_overflow_at_63_bits () =
@@ -196,6 +204,28 @@ let test_rat_overflow_at_63_bits () =
   let b = Rat.of_ints 0x3FFF_FFFF 0x3FFF_FFFE in
   Alcotest.check rat "cross-boundary mul" Rat.one (Rat.mul a b);
   Alcotest.(check int) "compare across boundary" (-1) (Rat.compare a b)
+
+(* The fast path allocates nothing but its result: a compare of two
+   small rationals allocates no words, and an add at most the 7 words
+   of the reduced result (a two-field record and two inline Bigints). *)
+let test_fast_path_allocation () =
+  let a = Rat.of_ints 3 7 and b = Rat.of_ints 5 11 in
+  let iters = 10_000 in
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for _ = 1 to iters do
+      ignore (Sys.opaque_identity (f a b))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int iters
+  in
+  let compare_words = words_per_call Rat.compare in
+  let add_words = words_per_call Rat.add in
+  Alcotest.(check bool)
+    (Printf.sprintf "compare allocates 0 words (%.2f)" compare_words)
+    true (compare_words < 0.01);
+  Alcotest.(check bool)
+    (Printf.sprintf "add allocates <= 7 words (%.2f)" add_words)
+    true (add_words < 7.01)
 
 let test_rat_slow_path_reduction_parity () =
   (* The Knuth-4.5.1 slow paths must produce canonically reduced
@@ -236,6 +266,7 @@ let () =
           Alcotest.test_case "promotion boundary" `Quick test_promotion_boundary;
           Alcotest.test_case "overflow at 63 bits" `Quick test_rat_overflow_at_63_bits;
           Alcotest.test_case "slow-path reduction parity" `Quick test_rat_slow_path_reduction_parity;
+          Alcotest.test_case "fast path allocation" `Quick test_fast_path_allocation;
         ] );
       ("properties", properties);
     ]

@@ -2,8 +2,8 @@
    the modelling facade, exercising phase 1/phase 2, the crash basis,
    both pricing rules, and the float instantiation. *)
 
-module Sx = Lp.Simplex.Exact
-module Sf = Lp.Simplex.Floating
+module Sx = Lp_oracle.Simplex.Exact
+module Sf = Lp_oracle.Simplex.Floating
 
 let q = Rat.of_ints
 let rat = Alcotest.testable Rat.pp Rat.equal

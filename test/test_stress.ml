@@ -123,8 +123,8 @@ let test_pricing_crosscheck_random () =
       p
     in
     match
-      ( Lp.solve ~pricing:Lp.Simplex.Exact.Dantzig_lex p1,
-        Lp.solve ~pricing:Lp.Simplex.Exact.Bland p2 )
+      ( Lp.solve ~pricing:Lp.Revised.Dantzig_lex p1,
+        Lp.solve ~pricing:Lp.Revised.Bland p2 )
     with
     | Lp.Optimal a, Lp.Optimal b ->
       if not (Rat.equal a.Lp.objective b.Lp.objective) then
