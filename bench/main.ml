@@ -244,7 +244,7 @@ let lemma1 =
           (fun n ->
             List.map
               (fun alpha ->
-                let computed = Qm.determinant (Geo.scaled_matrix ~n ~alpha) in
+                let computed = Lp_oracle.Q.determinant (Geo.scaled_matrix ~n ~alpha) in
                 let formula = Geo.scaled_determinant ~n ~alpha in
                 let agree = Rat.equal computed formula in
                 if not agree then ok := false;
@@ -1935,22 +1935,18 @@ let bench_record (o : E.outcome) =
     | E.Info -> ("info", Json.Null)
     | E.Fail why -> ("fail", Json.Str why)
   in
-  let pivots, max_coeff_bits, lp_solves, matrix_inversions, metrics =
+  let pivots, max_coeff_bits, lp_solves, metrics =
     match o.E.obs with
-    | None -> (0, 0, 0, 0, Json.Null)
+    | None -> (0, 0, 0, Json.Null)
     | Some r ->
       let max_bits =
-        List.fold_left Stdlib.max 0
-          [
-            Obs.histogram_max r "simplex.pivot_bits";
-            Obs.histogram_max r "simplex.final_bits";
-            Obs.histogram_max r "matrix.inverse_bits";
-          ]
+        Stdlib.max
+          (Obs.histogram_max r "simplex.pivot_bits")
+          (Obs.histogram_max r "simplex.final_bits")
       in
       ( Obs.counter r "simplex.pivots",
         max_bits,
         Obs.counter r "lp.solves",
-        Obs.counter r "matrix.inversions",
         Obs.metrics_to_json r )
   in
   Json.Obj
@@ -1964,7 +1960,6 @@ let bench_record (o : E.outcome) =
       ("pivots", Json.Int pivots);
       ("max_coeff_bits", Json.Int max_coeff_bits);
       ("lp_solves", Json.Int lp_solves);
-      ("matrix_inversions", Json.Int matrix_inversions);
       ("metrics", metrics);
     ]
 

@@ -989,8 +989,8 @@ let infer_cmd =
 (* ----------------------------------------------------------------- *)
 
 (* One short run that exercises every instrumented layer — the LP
-   simplex (tailored optimal mechanism), exact matrix inversion
-   (Theorem-2 factorization), and the multi-level cascade — so
+   simplex (tailored optimal mechanism), the Theorem-2 factorization,
+   and the multi-level cascade — so
    `dpopt smoke --trace t.json` yields a representative trace. *)
 let smoke_cmd =
   let run () n alpha seed =
@@ -1021,7 +1021,7 @@ let smoke_cmd =
   Cmd.v
     (Cmd.info "smoke"
        ~doc:
-         "Exercise every instrumented layer (simplex, matrix inversion, cascade) in one \
+         "Exercise every instrumented layer (simplex, factorization, cascade) in one \
           short run — combine with --trace or --metrics to inspect the observability \
           output.")
     term

@@ -277,68 +277,63 @@ let factorization ~alpha m =
   check_alpha_range "Invariants.factorization" alpha;
   let n = Array.length m - 1 in
   let g = Mech.Mechanism.matrix (Mech.Geometric.matrix ~n ~alpha) in
-  match Qm.inverse g with
-  | None ->
-    (* Impossible for 0 < alpha < 1 (Lemma 1: det = (1-a^2)^n / norm). *)
-    finish ~rule ~params:[] ~checked:0 ~tight:[]
-      [ D.error ~rule D.Whole "geometric matrix reported singular (analyzer bug)" ]
-  | Some g_inv ->
-    let t = Qm.mul g_inv m in
-    let diags = ref [] in
-    let checked = ref 0 in
-    let min_entry = ref t.(0).(0) and min_at = ref (0, 0) in
-    Array.iteri
-      (fun i row ->
-        Array.iteri
-          (fun r x ->
-            incr checked;
-            if Rat.compare x !min_entry < 0 then begin
-              min_entry := x;
-              min_at := (i, r)
-            end;
-            if Rat.sign x < 0 then
-              diags :=
-                D.error ~rule
-                  ~witness:(D.rats [ ("t_entry", x) ])
-                  (D.Matrix_cell { row = i; col = r })
-                  "factor T = G^-1*M has a negative entry (not a post-processing)"
-                :: !diags)
-          row;
-        let sum = Array.fold_left Rat.add Rat.zero row in
-        incr checked;
-        if not (Rat.is_one sum) then
-          diags :=
-            D.error ~rule
-              ~witness:(D.rats [ ("row_sum", sum) ])
-              (D.Matrix_row { row = i })
-              "factor T = G^-1*M row does not sum to 1"
-            :: !diags)
-      t;
-    (* Replay: G * T must reproduce M exactly. *)
-    let replay = Qm.mul g t in
-    Array.iteri
-      (fun i row ->
-        Array.iteri
-          (fun r x ->
-            incr checked;
-            if not (Rat.equal x m.(i).(r)) then
-              diags :=
-                D.error ~rule
-                  ~witness:(D.rats [ ("replayed", x); ("original", m.(i).(r)) ])
-                  (D.Matrix_cell { row = i; col = r })
-                  "replay G*T did not reproduce M (elimination bug)"
-                :: !diags)
-          row)
-      replay;
-    let mi, mr = !min_at in
-    finish ~rule
-      ~params:
-        [ ("n", string_of_int n); ("alpha", Rat.to_string alpha); ("digest", matrix_digest m) ]
-      ~checked:!checked
-      ~tight:
-        [ ("min_T_entry", Rat.to_string !min_entry);
-          ("min_T_entry_at", Printf.sprintf "(%d,%d)" mi mr) ]
-      !diags
+  let t = Mech.Geometric.apply_inverse ~n ~alpha m in
+  let diags = ref [] in
+  let checked = ref 0 in
+  let min_entry = ref t.(0).(0) and min_at = ref (0, 0) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun r x ->
+          incr checked;
+          if Rat.compare x !min_entry < 0 then begin
+            min_entry := x;
+            min_at := (i, r)
+          end;
+          if Rat.sign x < 0 then
+            diags :=
+              D.error ~rule
+                ~witness:(D.rats [ ("t_entry", x) ])
+                (D.Matrix_cell { row = i; col = r })
+                "factor T = G^-1*M has a negative entry (not a post-processing)"
+              :: !diags)
+        row;
+      let sum = Array.fold_left Rat.add Rat.zero row in
+      incr checked;
+      if not (Rat.is_one sum) then
+        diags :=
+          D.error ~rule
+            ~witness:(D.rats [ ("row_sum", sum) ])
+            (D.Matrix_row { row = i })
+            "factor T = G^-1*M row does not sum to 1"
+          :: !diags)
+    t;
+  (* Replay: G * T must reproduce M exactly, so the certificate checks
+     the closed-form inverse rather than trusting it. *)
+  let replay = Qm.mul g t in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun r x ->
+          incr checked;
+          if not (Rat.equal x m.(i).(r)) then
+            diags :=
+              D.error ~rule
+                ~witness:(D.rats [ ("replayed", x); ("original", m.(i).(r)) ])
+                (D.Matrix_cell { row = i; col = r })
+                "replay G*T did not reproduce M (closed-form inverse bug)"
+              :: !diags)
+        row)
+    replay;
+  let mi, mr = !min_at in
+  finish ~rule
+    ~params:
+      [ ("n", string_of_int n); ("alpha", Rat.to_string alpha); ("digest", matrix_digest m) ]
+    ~checked:!checked
+    ~tight:
+      [ ("min_T_entry", Rat.to_string !min_entry);
+        ("min_T_entry_at", Printf.sprintf "(%d,%d)" mi mr) ]
+    !diags
 
 (* ------------------------------------------------------------------ *)
 (* Monotone-loss well-formedness                                       *)

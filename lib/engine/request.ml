@@ -67,19 +67,27 @@ let validate_side ~n = function
         else None)
       ms
 
+let max_n = 64
+let over_cap n = Printf.sprintf "n %d exceeds the cap of %d" n max_n
+
+let check_n n =
+  if n < 1 then Error "n must be >= 1" else if n > max_n then Error (over_cap n) else Ok ()
+
 let make ?(input = 0) ?(count = 1) ~n ~alpha ~loss ~side () =
-  if n < 1 then Error "n must be >= 1"
-  else if Rat.sign alpha <= 0 || Rat.compare alpha Rat.one >= 0 then
-    Error "alpha must lie strictly between 0 and 1"
-  else if input < 0 || input > n then Error (Printf.sprintf "input %d out of {0..%d}" input n)
-  else if count < 1 then Error "count must be >= 1"
-  else
-    match validate_loss loss with
-    | Some m -> Error m
-    | None -> (
-      match validate_side ~n side with
+  match check_n n with
+  | Error m -> Error m
+  | Ok () ->
+    if Rat.sign alpha <= 0 || Rat.compare alpha Rat.one >= 0 then
+      Error "alpha must lie strictly between 0 and 1"
+    else if input < 0 || input > n then Error (Printf.sprintf "input %d out of {0..%d}" input n)
+    else if count < 1 then Error "count must be >= 1"
+    else
+      match validate_loss loss with
       | Some m -> Error m
-      | None -> Ok { n; alpha; loss; side; input; count })
+      | None -> (
+        match validate_side ~n side with
+        | Some m -> Error m
+        | None -> Ok { n; alpha; loss; side; input; count })
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization                                                    *)
@@ -242,6 +250,8 @@ let parse_side s =
 let known_keys =
   [ "v"; "op"; "id"; "seed"; "n"; "alpha"; "loss"; "side"; "input"; "count"; "sub"; "budget" ]
 
+let id_rule = "1-64 chars of [A-Za-z0-9._:-]"
+
 let valid_id s =
   let n = String.length s in
   n >= 1 && n <= 64
@@ -306,8 +316,7 @@ let of_line line =
               if valid_id s then Ok (Some s)
               else
                 Error
-                  (Malformed
-                     { msg = Printf.sprintf "id %S must be 1-64 chars of [A-Za-z0-9._:-]" s })
+                  (Malformed { msg = Printf.sprintf "id %S must be %s" s id_rule })
           in
           match find "op" with
           | Some "stats" -> (
@@ -343,15 +352,11 @@ let of_line line =
                 | Some s ->
                   if valid_id s then Ok s
                   else
-                    Error
-                      (Malformed
-                         {
-                           msg =
-                             Printf.sprintf "sub %S must be 1-64 chars of [A-Za-z0-9._:-]" s;
-                         })
+                    Error (Malformed { msg = Printf.sprintf "sub %S must be %s" s id_rule })
               in
               match (id, required_int "n", required_int "input") with
               | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
+              | _, Ok n, _ when n > max_n -> Error (Invalid { msg = over_cap n })
               | Ok id, Ok n, Ok input -> (
                 match op with
                 | "release" -> Ok (Session { id; verb = Release { n; input } })

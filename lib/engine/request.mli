@@ -46,6 +46,13 @@ type t = private {
   count : int;  (** samples to draw, [>= 1] *)
 }
 
+val max_n : int
+(** The wire cap on [n], 64: every served [n] builds [(n+1)²] exact
+    cells inline. *)
+
+val check_n : int -> (unit, string) result
+(** The refusal for an [n] outside [{1..max_n}]. *)
+
 val make :
   ?input:int ->
   ?count:int ->
@@ -55,9 +62,10 @@ val make :
   side:side_spec ->
   unit ->
   (t, string) result
-(** Validated constructor (default [input 0], [count 1]): [n >= 1],
-    [0 < α < 1], [input ∈ {0..n}], [count >= 1], well-formed loss
-    parameters, side information non-empty and within [{0..n}]. *)
+(** Validated constructor (default [input 0], [count 1]):
+    [1 <= n <= max_n], [0 < α < 1], [input ∈ {0..n}], [count >= 1],
+    well-formed loss parameters, side information non-empty and within
+    [{0..n}]. *)
 
 (** {1 Wire protocol (v1)}
 
@@ -113,6 +121,11 @@ type wire_error =
   | Malformed of { msg : string }  (** frame-level: not [key=value], duplicate key, bad [id] *)
   | Invalid of { msg : string }  (** field-level: bad value or failed {!make} validation *)
 
+val id_rule : string
+(** What an [id=] or [sub=] must be: ["1-64 chars of [A-Za-z0-9._:-]"]. *)
+
+val valid_id : string -> bool
+
 val wire_error_kind : wire_error -> string
 (** Stable machine-readable tag: [unsupported_version], [unknown_key],
     [malformed], [invalid]. *)
@@ -130,7 +143,8 @@ val of_line : string -> (parsed, wire_error) result
     [v=1 op=stats [id=...]] parses to {!Stats} and the session lines
     [v=1 op=subscribe|release|unsubscribe|ledger ...] parse to
     {!Session}; any other [op=] value, keys outside a verb's allowed
-    set, or [sub=]/[budget=] on a query line, are typed rejections. *)
+    set, or [sub=]/[budget=] on a query line, are typed rejections, as
+    is an [n] above {!max_n} on a query or session line. *)
 
 val to_line : ?id:string -> ?seed:int -> t -> string
 (** Render in the {!of_line} grammar, [v=1] first (parses back to an

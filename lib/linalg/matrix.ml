@@ -114,168 +114,6 @@ module Make (F : Field.S) = struct
     !acc
 
   (* ---------------------------------------------------------------- *)
-  (* Gaussian elimination: determinant, inverse, solve, rank          *)
-  (* ---------------------------------------------------------------- *)
-
-  (* Partial pivoting picks the largest |pivot| (meaningful for floats,
-     harmless for exact fields). Returns None when singular. *)
-
-  (* Largest [F.bit_size] over a matrix; 0 over float fields, where the
-     scan is pointless — callers gate on the result being positive. *)
-  let max_bit_size (m : t) =
-    let best = ref 0 in
-    Array.iter (Array.iter (fun x -> best := Stdlib.max !best (F.bit_size x))) m;
-    !best
-
-  let determinant (m : t) =
-    let n = rows m in
-    if n <> cols m then invalid_arg "Matrix.determinant: not square";
-    Obs.span ~attrs:[ ("n", Obs.Int n) ] "matrix.determinant" @@ fun () ->
-    let a = copy m in
-    let det = ref F.one in
-    (try
-       for col = 0 to n - 1 do
-         (* Find pivot. *)
-         let pivot = ref (-1) in
-         let best = ref F.zero in
-         for r = col to n - 1 do
-           let v = F.abs a.(r).(col) in
-           if not (F.is_zero v) && (!pivot = -1 || F.compare v !best > 0) then begin
-             pivot := r;
-             best := v
-           end
-         done;
-         if !pivot = -1 then begin
-           det := F.zero;
-           raise Exit
-         end;
-         if !pivot <> col then begin
-           let tmp = a.(col) in
-           a.(col) <- a.(!pivot);
-           a.(!pivot) <- tmp;
-           det := F.neg !det
-         end;
-         det := F.mul !det a.(col).(col);
-         let inv_p = F.div F.one a.(col).(col) in
-         for r = col + 1 to n - 1 do
-           if not (F.is_zero a.(r).(col)) then begin
-             let factor = F.mul a.(r).(col) inv_p in
-             for c = col to n - 1 do
-               a.(r).(c) <- F.sub a.(r).(c) (F.mul factor a.(col).(c))
-             done
-           end
-         done
-       done
-     with Exit -> ());
-    if Obs.enabled () then begin
-      let bits = F.bit_size !det in
-      if bits > 0 then Obs.observe "matrix.det_bits" bits
-    end;
-    !det
-
-  (* Gauss-Jordan on [a | rhs]; returns the transformed rhs or None when
-     [a] is singular. *)
-  let gauss_jordan (m : t) (rhs : t) : t option =
-    let n = rows m in
-    if n <> cols m then invalid_arg "Matrix.gauss_jordan: not square";
-    if rows rhs <> n then invalid_arg "Matrix.gauss_jordan: rhs shape";
-    let a = copy m and b = copy rhs in
-    let wb = cols rhs in
-    let ok = ref true in
-    (try
-       for col = 0 to n - 1 do
-         let pivot = ref (-1) in
-         let best = ref F.zero in
-         for r = col to n - 1 do
-           let v = F.abs a.(r).(col) in
-           if not (F.is_zero v) && (!pivot = -1 || F.compare v !best > 0) then begin
-             pivot := r;
-             best := v
-           end
-         done;
-         if !pivot = -1 then begin
-           ok := false;
-           raise Exit
-         end;
-         if !pivot <> col then begin
-           let tmp = a.(col) in
-           a.(col) <- a.(!pivot);
-           a.(!pivot) <- tmp;
-           let tmp = b.(col) in
-           b.(col) <- b.(!pivot);
-           b.(!pivot) <- tmp
-         end;
-         let inv_p = F.div F.one a.(col).(col) in
-         for c = 0 to n - 1 do
-           a.(col).(c) <- F.mul a.(col).(c) inv_p
-         done;
-         for c = 0 to wb - 1 do
-           b.(col).(c) <- F.mul b.(col).(c) inv_p
-         done;
-         for r = 0 to n - 1 do
-           if r <> col && not (F.is_zero a.(r).(col)) then begin
-             let factor = a.(r).(col) in
-             for c = 0 to n - 1 do
-               a.(r).(c) <- F.sub a.(r).(c) (F.mul factor a.(col).(c))
-             done;
-             for c = 0 to wb - 1 do
-               b.(r).(c) <- F.sub b.(r).(c) (F.mul factor b.(col).(c))
-             done
-           end
-         done
-       done
-     with Exit -> ());
-    if !ok then Some b else None
-
-  let inverse (m : t) : t option =
-    Obs.span ~attrs:[ ("n", Obs.Int (rows m)) ] "matrix.inverse" @@ fun () ->
-    Obs.incr "matrix.inversions";
-    Resilience.Fault.trip "matrix.inverse";
-    let result = gauss_jordan m (identity (rows m)) in
-    (match result with
-     | Some inv when Obs.enabled () ->
-       let bits = max_bit_size inv in
-       if bits > 0 then Obs.observe "matrix.inverse_bits" bits
-     | _ -> ());
-    result
-
-  let solve (m : t) (v : vec) : vec option =
-    Obs.span ~attrs:[ ("n", Obs.Int (rows m)) ] "matrix.solve" @@ fun () ->
-    let rhs = init (rows m) 1 (fun i _ -> v.(i)) in
-    Option.map (fun sol -> Array.init (rows m) (fun i -> sol.(i).(0))) (gauss_jordan m rhs)
-
-  let rank (m : t) =
-    let a = copy m in
-    let r = rows m and c = cols m in
-    let rank = ref 0 in
-    let pivot_row = ref 0 in
-    for col = 0 to c - 1 do
-      if !pivot_row < r then begin
-        let pivot = ref (-1) in
-        for i = !pivot_row to r - 1 do
-          if !pivot = -1 && not (F.is_zero a.(i).(col)) then pivot := i
-        done;
-        if !pivot >= 0 then begin
-          let tmp = a.(!pivot_row) in
-          a.(!pivot_row) <- a.(!pivot);
-          a.(!pivot) <- tmp;
-          let inv_p = F.div F.one a.(!pivot_row).(col) in
-          for i = !pivot_row + 1 to r - 1 do
-            if not (F.is_zero a.(i).(col)) then begin
-              let factor = F.mul a.(i).(col) inv_p in
-              for j = col to c - 1 do
-                a.(i).(j) <- F.sub a.(i).(j) (F.mul factor a.(!pivot_row).(j))
-              done
-            end
-          done;
-          incr rank;
-          incr pivot_row
-        end
-      end
-    done;
-    !rank
-
-  (* ---------------------------------------------------------------- *)
   (* Stochastic-matrix predicates (used throughout the DP stack)      *)
   (* ---------------------------------------------------------------- *)
 

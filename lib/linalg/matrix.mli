@@ -51,20 +51,6 @@ module Make (F : Field.S) : sig
 
   val dot : vec -> vec -> F.t
 
-  (** {1 Gaussian elimination} *)
-
-  val determinant : t -> F.t
-  (** Partial-pivoting elimination; exact over exact fields.
-      @raise Invalid_argument when not square. *)
-
-  val gauss_jordan : t -> t -> t option
-  (** [gauss_jordan a rhs] reduces [[a | rhs]]; [None] when [a] is
-      singular. *)
-
-  val inverse : t -> t option
-  val solve : t -> vec -> vec option
-  val rank : t -> int
-
   (** {1 Stochastic-matrix predicates} *)
 
   val row_sums : t -> vec

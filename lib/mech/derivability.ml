@@ -45,16 +45,14 @@ let satisfies_condition ~alpha m = condition_violations ~alpha m = []
 
 (** Constructive side: the unique generalized-stochastic [T] with
     [M = G(n,α)·T]. [G] is non-singular (Lemma 1), so [T = G⁻¹·M]
-    always exists; derivability holds iff [T] is entrywise
-    non-negative. *)
+    always exists, and [G⁻¹] is tridiagonal in closed form
+    ({!Geometric.apply_inverse}); derivability holds iff [T] is
+    entrywise non-negative. *)
 let factor ~alpha m =
   let n = Mechanism.n m in
   Obs.span ~attrs:[ ("n", Obs.Int n) ] "derivability.factor" @@ fun () ->
   Resilience.Fault.trip "mech.factor";
-  let g = Mechanism.matrix (Geometric.matrix ~n ~alpha) in
-  match Qm.inverse g with
-  | None -> invalid_arg "Derivability.factor: geometric matrix singular (impossible for 0<alpha<1)"
-  | Some g_inv -> Qm.mul g_inv (Mechanism.matrix m)
+  Geometric.apply_inverse ~n ~alpha (Mechanism.matrix m)
 
 type verdict =
   | Derivable of Rat.t array array  (** the stochastic post-processing [T] *)

@@ -42,6 +42,28 @@ let scaled_determinant ~n ~alpha =
   check_alpha alpha;
   Rat.pow (Rat.sub Rat.one (Rat.mul alpha alpha)) n
 
+(** [G(n,α)⁻¹·M] in closed form. [G = K·D] with [K = G'(n,α)] a
+    Kac–Murdock–Szegő matrix and [D] the column scales, so [G⁻¹ = D⁻¹·K⁻¹]
+    is tridiagonal: row [r] is [d_r/(1−α²)·(−α, c_r, −α)] around the
+    diagonal, with [c_r = 1], [d_r = 1+α] at the two ends (one neighbour)
+    and [c_r = 1+α²], [d_r = (1+α)/(1−α)] inside. *)
+let apply_inverse ~n ~alpha m =
+  check_alpha alpha;
+  if n < 1 then invalid_arg "Geometric.apply_inverse: n must be >= 1";
+  if Array.length m <> n + 1 then invalid_arg "Geometric.apply_inverse: M must have n+1 rows";
+  let edge = Rat.inv (Rat.sub Rat.one alpha) in
+  let inner = Rat.mul edge edge in
+  let centre = Rat.add Rat.one (Rat.mul alpha alpha) in
+  Array.init (n + 1) (fun r ->
+      Array.mapi
+        (fun j x ->
+          if r = 0 then Rat.mul edge (Rat.sub x (Rat.mul alpha m.(1).(j)))
+          else if r = n then Rat.mul edge (Rat.sub x (Rat.mul alpha m.(n - 1).(j)))
+          else
+            Rat.mul inner
+              (Rat.sub (Rat.mul centre x) (Rat.mul alpha (Rat.add m.(r - 1).(j) m.(r + 1).(j)))))
+        m.(r))
+
 (** Probability mass of the unbounded two-sided geometric noise
     (Definition 1) at offset [z]. *)
 let unbounded_noise_pmf ~alpha z =

@@ -23,6 +23,14 @@ val scaled_determinant : n:int -> alpha:Rat.t -> Rat.t
 (** Lemma 1's closed form: [(1 − α²)^n] for the [(n+1)×(n+1)] scaled
     matrix. *)
 
+val apply_inverse : n:int -> alpha:Rat.t -> Rat.t array array -> Rat.t array array
+(** [apply_inverse ~n ~alpha m] is [G(n,α)⁻¹·m], exactly, in
+    [O(n·cols)] operations: [G⁻¹] is tridiagonal, row [0] being
+    [(1, −α)/(1−α)] (mirrored at [n]) and an interior row
+    [(−α, 1+α², −α)/(1−α)²]. [m] may have any number of columns.
+    @raise Invalid_argument on a bad [alpha], [n < 1], or [m] without
+    [n+1] rows. *)
+
 val unbounded_noise_pmf : alpha:Rat.t -> int -> Rat.t
 (** Mass of the two-sided geometric noise at a given offset. *)
 

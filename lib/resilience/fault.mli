@@ -1,7 +1,7 @@
 (** Deterministic fault injection for chaos tests.
 
     Instrumented code declares named trigger sites — ["simplex.phase1"],
-    ["simplex.phase2"], ["matrix.inverse"], ["dpdb.csv.row"], … — by
+    ["simplex.phase2"], ["mech.factor"], ["dpdb.csv.row"], … — by
     calling {!hit} (solver
     sites that translate faults into budget exhaustion) or {!trip}
     (sites that raise {!Injected} directly). A test installs a

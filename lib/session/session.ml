@@ -100,17 +100,6 @@ let live t =
         acc + List.length (List.filter (fun s -> s.active) g.subs))
       0 t.groups )
 
-let valid_name s =
-  let n = String.length s in
-  n >= 1 && n <= 64
-  && String.for_all
-       (fun c ->
-         (c >= 'a' && c <= 'z')
-         || (c >= 'A' && c <= 'Z')
-         || (c >= '0' && c <= '9')
-         || c = '-' || c = '_' || c = '.' || c = ':')
-       s
-
 let active_levels g =
   List.sort_uniq Rat.compare (List.filter_map (fun s -> if s.active then Some s.level else None) g.subs)
 
@@ -227,7 +216,9 @@ let unit_interval r = Rat.sign r > 0 && Rat.compare r Rat.one < 0
 
 let subscriber_of_json json =
   let* sub = str_field "sub" json in
-  let* () = if valid_name sub then Ok () else Error "checkpoint names an invalid subscriber" in
+  let* () =
+    if Engine.Request.valid_id sub then Ok () else Error "checkpoint names an invalid subscriber"
+  in
   let* level = rat_field "level" json in
   let* () = if unit_interval level then Ok () else Error "checkpoint level out of (0,1)" in
   let* floor =
@@ -347,10 +338,11 @@ let require_sub t ~sub ~n ~input =
 (* ------------------------------------------------------------------ *)
 
 let subscribe t ~sub ~n ~input ~level ?budget () =
-  if not (valid_name sub) then
-    Error "sub must be 1-64 chars of [A-Za-z0-9._:-]"
-  else if n < 1 then Error "n must be >= 1"
-  else if not (unit_interval level) then
+  let* () =
+    if Engine.Request.valid_id sub then Ok () else Error ("sub must be " ^ Engine.Request.id_rule)
+  in
+  let* () = Engine.Request.check_n n in
+  if not (unit_interval level) then
     Error "alpha must lie strictly between 0 and 1"
   else if input < 0 || input > n then
     Error (Printf.sprintf "input %d out of {0..%d}" input n)

@@ -133,7 +133,8 @@ val subscribe :
     keeps its spent ledger (that is the point). Re-subscribing while
     active is idempotent at the same level and an error at a different
     one (unsubscribe first); an inactive ledger may re-subscribe at
-    any level. [budget] sets (or tightens — never loosens) the floor. *)
+    any level. [budget] sets (or tightens — never loosens) the floor.
+    [n] must lie in [{1..Engine.Request.max_n}]. *)
 
 val unsubscribe : t -> sub:string -> n:int -> input:int -> (view, string) result
 (** Deactivate the subscription; the ledger is retained durably so a

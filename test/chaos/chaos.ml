@@ -10,8 +10,8 @@
      (geometric) ladder rung taken, and [Check.Invariants]
      independently certifies α-DP and Theorem-2 derivability;
 
-   - non-solver sites ("matrix.inverse", "mech.factor",
-     "multilevel.stage", "dpdb.csv.row"): the injected fault surfaces
+   - non-solver sites ("mech.factor", "multilevel.stage",
+     "dpdb.csv.row"): the injected fault surfaces
      as a clean [Fault.Injected] — and the identical call succeeds once
      the plan is gone, so a trip corrupts no state;
 
@@ -116,11 +116,6 @@ let solver_matrix () =
 
 let trip_sites =
   [
-    ( "matrix.inverse",
-      fun () ->
-        ignore
-          (Linalg.Matrix.Q.inverse
-             (Array.init 3 (fun i -> Array.init 3 (fun j -> if i = j then q 2 1 else Rat.zero)))) );
     ( "mech.factor",
       fun () -> ignore (Mech.Derivability.derive ~alpha (Mech.Geometric.matrix ~n ~alpha)) );
     ( "multilevel.stage",

@@ -1,16 +1,21 @@
-(* The LP test oracle: the dense tableau simplex and the float mirrors,
-   over the one standard form [Lp.standard_form] lowers a model to.
+(* The test oracle: the dense tableau simplex and the float mirrors,
+   over the one standard form [Lp.standard_form] lowers a model to, and
+   general Gaussian elimination in ℚ and in floats.
 
    Nothing here is on a production path. The revised engine in lib/lp
-   must match [solve] decision for decision on cold solves, and the
-   numeric ablation (ABL2) measures what exactness buys against
+   must match [solve] decision for decision on cold solves, the closed
+   forms of Lemma 1 and G(n,α)⁻¹ must match [Q]'s elimination exactly,
+   and the numeric ablation (ABL2) measures what exactness buys against
    [solve_float] and [Fl]. *)
 
 module Simplex = Simplex
 module Float_field : Linalg.Field.S with type t = float = Float_field
 
-module Fl = Linalg.Matrix.Make (Float_field)
-(** Dense float matrices, for the numeric ablation. *)
+module Q = Elimination.Make (Linalg.Field.Rational)
+(** Exact matrices with determinant, inverse, solve and rank. *)
+
+module Fl = Elimination.Make (Float_field)
+(** Dense float matrices with elimination, for the numeric ablation. *)
 
 let q_to_float (m : Linalg.Matrix.Q.t) : Fl.t = Array.map (Array.map Rat.to_float) m
 

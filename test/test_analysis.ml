@@ -363,6 +363,36 @@ let test_exact_lp_core_float_free () =
   Alcotest.(check int) "float-taint findings under lib/linalg and lib/lp" 0
     (List.length tainted)
 
+(* The test oracle (exact and float elimination, the tableau simplex,
+   the float mirrors) stays test-only: no dune stanza under lib/ or bin/
+   names lp_oracle outside a comment. *)
+let test_oracle_isolated () =
+  let rec dune_files dir =
+    Array.fold_left
+      (fun acc name ->
+        let path = Filename.concat dir name in
+        if Sys.is_directory path then dune_files path @ acc
+        else if name = "dune" then path :: acc
+        else acc)
+      [] (Sys.readdir dir)
+  in
+  let code path =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.map (fun l -> match String.index_opt l ';' with Some i -> String.sub l 0 i | None -> l)
+    |> String.concat "\n"
+  in
+  let with_stanza = ref 0 in
+  List.iter
+    (fun path ->
+      let text = code path in
+      if contains ~affix:"(library" text || contains ~affix:"(executable" text then
+        incr with_stanza;
+      if contains ~affix:"lp_oracle" text then Alcotest.failf "%s links the test-only lp_oracle" path)
+    (dune_files "../lib" @ dune_files "../bin");
+  (* Vacuity guard: the walk must actually reach the build stanzas. *)
+  Alcotest.(check bool) "library and executable stanzas read" true (!with_stanza > 0)
+
 let () =
   Alcotest.run "analysis"
     [
@@ -381,6 +411,8 @@ let () =
         [
           Alcotest.test_case "lib/linalg and lib/lp float-free" `Quick
             test_exact_lp_core_float_free;
+          Alcotest.test_case "no lib/ or bin/ stanza links lp_oracle" `Quick
+            test_oracle_isolated;
         ] );
       ( "baseline",
         [

@@ -85,6 +85,12 @@ let test_line_defaults_and_errors () =
   rejects "malformed" "v=1 n=4 alpha=1/2 loss=absolute side=full junk"; (* not key=value *)
   rejects "unknown_key" "v=1 n=4 alpha=1/2 loss=absolute side=full color=red";
   rejects "malformed" "v=1 n=4 n=5 alpha=1/2";                        (* duplicate key *)
+  rejects "invalid" "v=1 n=65 alpha=1/2";                              (* n above max_n *)
+  rejects "invalid" "v=1 op=subscribe sub=a n=65 input=0 alpha=1/2";
+  (* n = max_n parses; nothing is compiled here. *)
+  List.iter
+    (fun line -> if Result.is_error (Rq.of_line line) then Alcotest.failf "refused %s" line)
+    [ "v=1 n=64 alpha=1/2 input=64"; "v=1 op=subscribe sub=a n=64 input=0 alpha=1/2" ];
   rejects "malformed" "v=1 id=spaces! n=4 alpha=1/2"                  (* bad id charset *)
 
 (* --------------------------------------------------------------- *)

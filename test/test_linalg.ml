@@ -1,10 +1,11 @@
-(* Tests for the functorized linear-algebra layer: exact (rational)
-   instantiation checked against hand-computed values and algebraic
-   identities; float instantiation cross-checked against the exact
-   one. *)
+(* Tests for the functorized linear-algebra layer and the test
+   oracle's elimination over it ([Qe], [Fm]): exact instantiation checked
+   against hand-computed values and algebraic identities; float
+   instantiation cross-checked against the exact one. *)
 
 module Qm = Linalg.Matrix.Q
 module Fm = Lp_oracle.Fl
+module Qe = Lp_oracle.Q
 
 let q = Rat.of_ints
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -64,40 +65,40 @@ let test_dot () =
 (* --------------------------------------------------------------- *)
 
 let test_determinant () =
-  Alcotest.check rat "2x2" (q (-2) 1) (Qm.determinant (m_of_ints [ [ 1; 2 ]; [ 3; 4 ] ]));
-  Alcotest.check rat "singular" Rat.zero (Qm.determinant (m_of_ints [ [ 1; 2 ]; [ 2; 4 ] ]));
+  Alcotest.check rat "2x2" (q (-2) 1) (Qe.determinant (m_of_ints [ [ 1; 2 ]; [ 3; 4 ] ]));
+  Alcotest.check rat "singular" Rat.zero (Qe.determinant (m_of_ints [ [ 1; 2 ]; [ 2; 4 ] ]));
   Alcotest.check rat "3x3" (q 1 1)
-    (Qm.determinant (m_of_ints [ [ 1; 0; 0 ]; [ 0; 0; -1 ]; [ 0; 1; 0 ] ]));
-  Alcotest.check rat "identity" Rat.one (Qm.determinant (Qm.identity 5));
+    (Qe.determinant (m_of_ints [ [ 1; 0; 0 ]; [ 0; 0; -1 ]; [ 0; 1; 0 ] ]));
+  Alcotest.check rat "identity" Rat.one (Qe.determinant (Qm.identity 5));
   (* Vandermonde determinant for (1,2,3): Π (xj - xi) = 2. *)
   let v = m_of_ints [ [ 1; 1; 1 ]; [ 1; 2; 4 ]; [ 1; 3; 9 ] ] in
-  Alcotest.check rat "vandermonde" (q 2 1) (Qm.determinant v)
+  Alcotest.check rat "vandermonde" (q 2 1) (Qe.determinant v)
 
 let test_inverse () =
   let a = m_of_ints [ [ 2; 1 ]; [ 1; 1 ] ] in
-  (match Qm.inverse a with
+  (match Qe.inverse a with
    | None -> Alcotest.fail "should be invertible"
    | Some inv ->
      Alcotest.check qmat "a * a^-1 = I" (Qm.identity 2) (Qm.mul a inv);
      Alcotest.check qmat "a^-1 * a = I" (Qm.identity 2) (Qm.mul inv a));
   Alcotest.(check bool) "singular has no inverse" true
-    (Qm.inverse (m_of_ints [ [ 1; 2 ]; [ 2; 4 ] ]) = None)
+    (Qe.inverse (m_of_ints [ [ 1; 2 ]; [ 2; 4 ] ]) = None)
 
 let test_solve () =
   let a = m_of_ints [ [ 2; 1 ]; [ 1; 3 ] ] in
-  (match Qm.solve a [| q 5 1; q 10 1 |] with
+  (match Qe.solve a [| q 5 1; q 10 1 |] with
    | None -> Alcotest.fail "solvable"
    | Some x ->
      Alcotest.check rat "x0" (q 1 1) x.(0);
      Alcotest.check rat "x1" (q 3 1) x.(1));
   Alcotest.(check bool) "singular unsolvable" true
-    (Qm.solve (m_of_ints [ [ 1; 1 ]; [ 1; 1 ] ]) [| Rat.one; Rat.zero |] = None)
+    (Qe.solve (m_of_ints [ [ 1; 1 ]; [ 1; 1 ] ]) [| Rat.one; Rat.zero |] = None)
 
 let test_rank () =
-  Alcotest.(check int) "full" 3 (Qm.rank (Qm.identity 3));
-  Alcotest.(check int) "rank 1" 1 (Qm.rank (m_of_ints [ [ 1; 2 ]; [ 2; 4 ] ]));
-  Alcotest.(check int) "rank 2 rect" 2 (Qm.rank (m_of_ints [ [ 1; 0; 1 ]; [ 0; 1; 1 ] ]));
-  Alcotest.(check int) "zero" 0 (Qm.rank (Qm.make 3 3 Rat.zero))
+  Alcotest.(check int) "full" 3 (Qe.rank (Qm.identity 3));
+  Alcotest.(check int) "rank 1" 1 (Qe.rank (m_of_ints [ [ 1; 2 ]; [ 2; 4 ] ]));
+  Alcotest.(check int) "rank 2 rect" 2 (Qe.rank (m_of_ints [ [ 1; 0; 1 ]; [ 0; 1; 1 ] ]));
+  Alcotest.(check int) "zero" 0 (Qe.rank (Qm.make 3 3 Rat.zero))
 
 (* --------------------------------------------------------------- *)
 (* Stochastic predicates                                            *)
@@ -118,7 +119,7 @@ let test_stochastic () =
    stochastic. *)
 let test_stochastic_group () =
   let s = Qm.of_rows [ [ q 1 2; q 1 2 ]; [ q 1 4; q 3 4 ] ] in
-  match Qm.inverse s with
+  match Qe.inverse s with
   | None -> Alcotest.fail "invertible"
   | Some inv -> Alcotest.(check bool) "inverse generalized stochastic" true (Qm.is_generalized_stochastic inv)
 
@@ -129,10 +130,10 @@ let test_stochastic_group () =
 let test_float_crosscheck () =
   let a = m_of_ints [ [ 4; 7; 1 ]; [ 2; 6; 3 ]; [ 1; 1; 1 ] ] in
   let fa = Lp_oracle.q_to_float a in
-  let det_q = Rat.to_float (Qm.determinant a) in
+  let det_q = Rat.to_float (Qe.determinant a) in
   let det_f = Fm.determinant fa in
   Alcotest.(check (float 1e-9)) "determinants agree" det_q det_f;
-  match (Qm.inverse a, Fm.inverse fa) with
+  match (Qe.inverse a, Fm.inverse fa) with
   | Some qi, Some fi ->
     for i = 0 to 2 do
       for j = 0 to 2 do
@@ -161,23 +162,23 @@ let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name 
 let properties =
   [
     prop "det(AB) = det(A)det(B)" 60 (QCheck.pair arb_matrix3 arb_matrix3) (fun (a, b) ->
-        Rat.equal (Qm.determinant (Qm.mul a b)) (Rat.mul (Qm.determinant a) (Qm.determinant b)));
+        Rat.equal (Qe.determinant (Qm.mul a b)) (Rat.mul (Qe.determinant a) (Qe.determinant b)));
     prop "det(Aᵀ) = det(A)" 60 arb_matrix3 (fun a ->
-        Rat.equal (Qm.determinant (Qm.transpose a)) (Qm.determinant a));
+        Rat.equal (Qe.determinant (Qm.transpose a)) (Qe.determinant a));
     prop "inverse correct when it exists" 60 arb_matrix3 (fun a ->
-        match Qm.inverse a with
-        | None -> Rat.is_zero (Qm.determinant a)
+        match Qe.inverse a with
+        | None -> Rat.is_zero (Qe.determinant a)
         | Some inv -> Qm.equal (Qm.mul a inv) (Qm.identity 3));
     prop "solve matches inverse" 60 arb_matrix3 (fun a ->
         let v = [| Rat.one; Rat.two; q 3 1 |] in
-        match (Qm.solve a v, Qm.inverse a) with
+        match (Qe.solve a v, Qe.inverse a) with
         | None, None -> true
         | Some x, Some inv ->
           let y = Qm.mul_vec inv v in
           Array.for_all2 Rat.equal x y
         | _ -> false);
     prop "rank of product <= min rank" 40 (QCheck.pair arb_matrix3 arb_matrix3) (fun (a, b) ->
-        Qm.rank (Qm.mul a b) <= min (Qm.rank a) (Qm.rank b));
+        Qe.rank (Qm.mul a b) <= min (Qe.rank a) (Qe.rank b));
     prop "(A+B)ᵀ = Aᵀ+Bᵀ" 60 (QCheck.pair arb_matrix3 arb_matrix3) (fun (a, b) ->
         Qm.equal (Qm.transpose (Qm.add a b)) (Qm.add (Qm.transpose a) (Qm.transpose b)));
     prop "(AB)ᵀ = BᵀAᵀ" 60 (QCheck.pair arb_matrix3 arb_matrix3) (fun (a, b) ->

@@ -189,7 +189,7 @@ let test_expr_eval () =
    constraint lines (including axes). Enumerate all intersections,
    filter feasible, take the best. *)
 let brute_force_2d (constraints : (Rat.t * Rat.t * Rat.t) list) (cx, cy) =
-  let module Qm = Linalg.Matrix.Q in
+  let module Qm = Lp_oracle.Q in
   let lines = (Rat.one, Rat.zero, Rat.zero) :: (Rat.zero, Rat.one, Rat.zero) :: List.map (fun (a, b, c) -> (a, b, c)) constraints in
   (* line: a x + b y = c for constraint rows (tight); axes x=0, y=0. *)
   let feasible (x, y) =

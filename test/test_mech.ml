@@ -9,6 +9,7 @@ module Geo = Mech.Geometric
 module B = Mech.Baselines
 module Der = Mech.Derivability
 module Qm = Linalg.Matrix.Q
+module Qe = Lp_oracle.Q
 
 let q = Rat.of_ints
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -112,7 +113,7 @@ let test_lemma1_determinant () =
   List.iter
     (fun (n, alpha) ->
       let expected = Geo.scaled_determinant ~n ~alpha in
-      let actual = Qm.determinant (Geo.scaled_matrix ~n ~alpha) in
+      let actual = Qe.determinant (Geo.scaled_matrix ~n ~alpha) in
       Alcotest.check rat (Printf.sprintf "n=%d" n) expected actual)
     [ (1, half); (2, half); (3, q 1 4); (5, q 2 3); (8, q 1 3) ]
 
@@ -121,7 +122,7 @@ let test_geometric_det_positive () =
   List.iter
     (fun (n, alpha) ->
       let g = M.matrix (Geo.matrix ~n ~alpha) in
-      Alcotest.(check bool) "positive" true (Rat.sign (Qm.determinant g) > 0))
+      Alcotest.(check bool) "positive" true (Rat.sign (Qe.determinant g) > 0))
     [ (2, half); (4, q 1 4); (6, q 3 5) ]
 
 let test_unbounded_pmf () =
@@ -304,14 +305,107 @@ let arb_alpha =
 
 let prop name count arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
+(* G(n,α)⁻¹·M in closed form against Gauss–Jordan in ℚ, on one
+   right-hand side [I | G(n,β) | R]: the inverse itself, Lemma 3's
+   transition, and a random rectangular R. *)
+let arb_inverse_case =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 40 in
+    let* alpha = QCheck.gen arb_alpha in
+    let* beta = QCheck.gen arb_alpha in
+    let* k = int_range 1 4 in
+    let+ r =
+      array_repeat (n + 1)
+        (array_repeat k (map2 (fun a b -> Rat.of_ints a b) (int_range (-9) 9) (int_range 1 9)))
+    in
+    (n, alpha, beta, r)
+  in
+  QCheck.make
+    ~print:(fun (n, alpha, beta, r) ->
+      Printf.sprintf "n=%d alpha=%s beta=%s R=\n%s" n (Rat.to_string alpha) (Rat.to_string beta)
+        (Qm.to_string r))
+    gen
+
+let closed_form_inverse_matches_oracle (n, alpha, beta, r) =
+  let g = M.matrix (Geo.matrix ~n ~alpha) in
+  let g_beta = M.matrix (Geo.matrix ~n ~alpha:beta) in
+  let w = n + 1 in
+  let id = Qm.identity w in
+  match Qe.gauss_jordan g (Array.init w (fun i -> Array.concat [ id.(i); g_beta.(i); r.(i) ])) with
+  | None -> false
+  | Some x ->
+    let block off w = Array.map (fun row -> Array.sub row off w) x in
+    Qm.equal (Geo.apply_inverse ~n ~alpha id) (block 0 w)
+    && Qm.equal (Geo.apply_inverse ~n ~alpha g_beta) (block w w)
+    && Qm.equal (Geo.apply_inverse ~n ~alpha r) (block (2 * w) (Qm.cols r))
+
+(* α-DP mechanisms around the Theorem-2 boundary: the Appendix-B
+   mechanism, or G(n,α)·T for a random stochastic T, with one column
+   optionally lowered at one interior row as far as α-DP allows (the
+   mass moves to another column of that row; a move that breaks α-DP
+   is dropped). *)
+let arb_thm2_case =
+  let open QCheck.Gen in
+  let random =
+    let* n = int_range 2 8 in
+    let* alpha = QCheck.gen arb_alpha in
+    let* weights = array_repeat (n + 1) (array_repeat (n + 1) (int_range 0 3)) in
+    let* i = int_range 1 (n - 1) in
+    let* c = int_range 0 n in
+    let* c' = int_range 0 n in
+    let+ frac = int_range 0 4 in
+    let t =
+      Array.mapi
+        (fun r row ->
+          let s = Array.fold_left ( + ) 0 row in
+          Array.mapi
+            (fun j w -> if s = 0 then if j = r then Rat.one else Rat.zero else Rat.of_ints w s)
+            row)
+        weights
+    in
+    let m = M.matrix (M.compose (Geo.matrix ~n ~alpha) t) in
+    let floor = Rat.mul alpha (Rat.max m.(i - 1).(c) m.(i + 1).(c)) in
+    let delta = Rat.mul (Rat.of_ints frac 4) (Rat.sub m.(i).(c) floor) in
+    let perturbed = Qm.copy m in
+    perturbed.(i).(c) <- Rat.sub m.(i).(c) delta;
+    perturbed.(i).(c') <- Rat.add perturbed.(i).(c') delta;
+    let p = M.make perturbed in
+    (alpha, if c <> c' && M.is_dp ~alpha p then p else M.make m)
+  in
+  QCheck.make
+    ~print:(fun (alpha, m) -> Printf.sprintf "alpha=%s\n%s" (Rat.to_string alpha) (Qm.to_string (M.matrix m)))
+    (frequency [ (1, return (half, Der.appendix_b_mechanism ())); (9, random) ])
+
+let syntactic_test_matches_factor (alpha, m) =
+  let n = M.n m in
+  let t = Der.factor ~alpha m in
+  let negatives = ref [] in
+  for r = 1 to n - 1 do
+    for c = 0 to n do
+      if Rat.sign t.(r).(c) < 0 then negatives := (c, r) :: !negatives
+    done
+  done;
+  let violations = Der.condition_violations ~alpha m in
+  (* Interior rows of G⁻¹ carry d_r/(1−α²) with d_r = (1+α)/(1−α). *)
+  let d_r = Rat.div (Rat.add Rat.one alpha) (Rat.sub Rat.one alpha) in
+  let scale = Rat.div (Rat.sub Rat.one (Rat.mul alpha alpha)) d_r in
+  List.sort compare (List.map (fun v -> (v.Der.column, v.Der.row)) violations)
+  = List.sort compare !negatives
+  && List.for_all (fun v -> Rat.equal v.Der.slack (Rat.mul t.(v.Der.row).(v.Der.column) scale)) violations
+
 let properties =
   [
     prop "geometric privacy level is alpha" 25 (QCheck.pair arb_alpha QCheck.(int_range 1 8))
       (fun (alpha, n) -> Rat.equal (M.privacy_level (Geo.matrix ~n ~alpha)) alpha);
     prop "lemma 1 det formula" 20 (QCheck.pair arb_alpha QCheck.(int_range 1 6)) (fun (alpha, n) ->
         Rat.equal
-          (Qm.determinant (Geo.scaled_matrix ~n ~alpha))
+          (Qe.determinant (Geo.scaled_matrix ~n ~alpha))
           (Geo.scaled_determinant ~n ~alpha));
+    prop "closed-form G inverse equals Gauss-Jordan" 100 arb_inverse_case
+      closed_form_inverse_matches_oracle;
+    prop "Thm2 violations are the negative interior entries of the factor" 200 arb_thm2_case
+      syntactic_test_matches_factor;
     prop "geometric satisfies Thm2 condition at own alpha" 20
       (QCheck.pair arb_alpha QCheck.(int_range 2 7))
       (fun (alpha, n) -> Der.satisfies_condition ~alpha (Geo.matrix ~n ~alpha));

@@ -436,7 +436,7 @@ let test_bench_trajectory_roundtrip () =
          Alcotest.(check bool) "wall_ns non-negative" true (int_field "wall_ns" >= 0);
          List.iter
            (fun k -> ignore (int_field k))
-           [ "wall_ms"; "pivots"; "max_coeff_bits"; "lp_solves"; "matrix_inversions" ];
+           [ "wall_ms"; "pivots"; "max_coeff_bits"; "lp_solves" ];
          (match J.member "metrics" record with
           | Some (J.Obj _) -> ()
           | _ -> Alcotest.fail "metrics should be an object when observing")

@@ -105,10 +105,11 @@ let test_fault_exhausts_lp () =
   Alcotest.(check bool) "plan uninstalled after with_plan" false (F.enabled ())
 
 let test_fault_trip_raises () =
-  let plan = F.plan [ { F.site = "matrix.inverse"; hits = 1; action = F.Trip } ] in
-  let m = Array.init 3 (fun i -> Array.init 3 (fun j -> if i = j then q 2 1 else Rat.zero)) in
-  match F.with_plan plan (fun () -> Linalg.Matrix.Q.inverse m) with
-  | exception F.Injected { site = "matrix.inverse"; hit = 1 } -> ()
+  let plan = F.plan [ { F.site = "mech.factor"; hits = 1; action = F.Trip } ] in
+  let alpha = q 1 2 in
+  let g = Mech.Geometric.matrix ~n:3 ~alpha in
+  match F.with_plan plan (fun () -> Mech.Derivability.factor ~alpha g) with
+  | exception F.Injected { site = "mech.factor"; hit = 1 } -> ()
   | exception F.Injected _ -> Alcotest.fail "wrong site/hit in Injected"
   | _ -> Alcotest.fail "trip site did not raise"
 

@@ -156,6 +156,8 @@ let test_golden_rejections () =
             "v=1 id=q1 n=4 n=5 alpha=1/2";
             "v=1 id=bad! n=4 alpha=1/2";
             "v=1 n=4 alpha=3/2";
+            "v=1 n=65 alpha=1/2";
+            "v=1 op=subscribe sub=a n=65 input=0 alpha=1/2";
           ]
       in
       let expect =
@@ -168,6 +170,8 @@ let test_golden_rejections () =
           {|{"v":1,"status":"error","error":{"kind":"malformed","msg":"duplicate key \"n\""}}|};
           {|{"v":1,"status":"error","error":{"kind":"malformed","msg":"id \"bad!\" must be 1-64 chars of [A-Za-z0-9._:-]"}}|};
           {|{"v":1,"status":"error","error":{"kind":"invalid","msg":"alpha must lie strictly between 0 and 1"}}|};
+          {|{"v":1,"status":"error","error":{"kind":"invalid","msg":"n 65 exceeds the cap of 64"}}|};
+          {|{"v":1,"status":"error","error":{"kind":"invalid","msg":"n 65 exceeds the cap of 64"}}|};
         ]
       in
       Alcotest.(check (list string)) "golden rejection transcript" expect got)
