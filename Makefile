@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze analyze-baseline chaos store-chaos session-chaos serve-smoke lp-bench bench bench-json engine-bench clean
+.PHONY: all build test lint analyze chaos store-chaos session-chaos serve-smoke lp-bench bench bench-json engine-bench clean
 
 all: build
 
@@ -14,19 +14,10 @@ lint:
 	dune build @lint
 
 # Cross-module static analysis: domain-safety, float-taint and
-# determinism passes over lib/ + bin/ minus the committed baseline
-# (@lint, and therefore `make test`, depends on this too).
+# determinism passes over lib/ + bin/; any error fails it (@lint, and
+# therefore `make test`, depends on this too).
 analyze:
 	dune build @analyze
-
-# Re-accept the current findings as the committed baseline. Refuses on
-# a dirty tree so the ratchet shows up as a reviewable diff of
-# analysis-baseline.json alone.
-analyze-baseline:
-	@test -z "$$(git status --porcelain)" || \
-	  { echo "analyze-baseline: working tree is dirty; commit or stash first" >&2; exit 1; }
-	dune build bin/dplint.exe
-	_build/default/bin/dplint.exe analyze --write-baseline analysis-baseline.json lib bin
 
 # Fault matrix: every trigger site x action x hit discipline; the serve
 # ladder must release a certified mechanism under all of them (@runtest

@@ -11,8 +11,7 @@
                       mli-less lib modules)
      analyze          cross-module analysis over the serving tree:
                       domain-safety, float taint of the exact core, and
-                      serve-path determinism, against a committed
-                      accepted-findings baseline
+                      serve-path determinism; any error fails it
 
    Every verdict is available as JSON (--json); violations carry exact
    rational witnesses, passes carry replayable certificates. Exit code
@@ -306,29 +305,6 @@ let analyze_cmd =
     let doc = "Directories to scan (default: lib bin)." in
     Arg.(value & pos_all string [] & info [] ~docv:"DIR" ~doc)
   in
-  let baseline_arg =
-    let doc =
-      "Accepted-findings baseline to subtract before the exit-code decision. A \
-       missing file is treated as an empty baseline; a malformed one is a CLI \
-       error."
-    in
-    Arg.(
-      value
-      & opt string "analysis-baseline.json"
-      & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
-  let no_baseline_arg =
-    let doc = "Ignore the baseline: report and count every finding." in
-    Arg.(value & flag & info [ "no-baseline" ] ~doc)
-  in
-  let write_baseline_arg =
-    let doc =
-      "Re-run the passes with no baseline and write a baseline accepting every \
-       current error to $(docv), then exit 0. The ratchet: regenerate only from \
-       a clean tree (see `make analyze-baseline')."
-    in
-    Arg.(value & opt (some string) None & info [ "write-baseline" ] ~docv:"FILE" ~doc)
-  in
   let core_arg =
     let doc = "Override an exact-core directory for the float-taint pass (repeatable)." in
     Arg.(value & opt_all string [] & info [ "core" ] ~docv:"DIR" ~doc)
@@ -341,7 +317,7 @@ let analyze_cmd =
     let doc = "Override a wall-clock-exempt directory (repeatable)." in
     Arg.(value & opt_all string [] & info [ "clock-exempt" ] ~docv:"DIR" ~doc)
   in
-  let run () roots json baseline_file no_baseline write_baseline core serve clock =
+  let run () roots json core serve clock =
     let dflt = Analysis.default_config in
     let or_default custom dflt = if custom = [] then dflt else custom in
     let cfg =
@@ -352,50 +328,31 @@ let analyze_cmd =
         clock_exempt = or_default clock dflt.Analysis.clock_exempt;
       }
     in
-    match write_baseline with
-    | Some file ->
-      let b = Analysis.Baseline.of_diagnostics (Analysis.raw cfg) in
-      Analysis.Baseline.save file b;
-      if not json then
-        Printf.printf "analyze: wrote %d-entry baseline to %s\n"
-          (List.length (Analysis.Baseline.entries b))
-          file;
-      `Ok ()
-    | None -> (
-      let baseline =
-        if no_baseline then Ok Analysis.Baseline.empty
-        else if not (Sys.file_exists baseline_file) then Ok Analysis.Baseline.empty
-        else Analysis.Baseline.load baseline_file
-      in
-      match baseline with
-      | Error m -> `Error (false, Printf.sprintf "baseline %s: %s" baseline_file m)
-      | Ok baseline ->
-        let o = Analysis.run ~baseline cfg in
-        if json then
-          print_endline
-            (Check.Json.to_string
-               (Check.Json.Obj
-                  [
-                    ("tool", Check.Json.Str "dplint");
-                    ("ok", Check.Json.Bool (o.Analysis.errors = 0));
-                    ("report", Analysis.to_json o);
-                  ]))
-        else begin
-          List.iter (fun d -> Format.printf "%a@." Check.Diagnostic.pp d) o.Analysis.diagnostics;
-          Printf.printf "analyze: %d files, %d errors, %d warnings, %d baselined\n"
-            o.Analysis.files o.Analysis.errors o.Analysis.warnings o.Analysis.suppressed
-        end;
-        if o.Analysis.errors = 0 then `Ok ()
-        else begin
-          if not json then prerr_endline "dplint: analysis violations found";
-          exit 1
-        end)
+    let o = Analysis.run cfg in
+    if json then
+      print_endline
+        (Check.Json.to_string
+           (Check.Json.Obj
+              [
+                ("tool", Check.Json.Str "dplint");
+                ("ok", Check.Json.Bool (o.Analysis.errors = 0));
+                ("report", Analysis.to_json o);
+              ]))
+    else begin
+      List.iter (fun d -> Format.printf "%a@." Check.Diagnostic.pp d) o.Analysis.diagnostics;
+      Printf.printf "analyze: %d files, %d errors, %d warnings\n" o.Analysis.files
+        o.Analysis.errors o.Analysis.warnings
+    end;
+    if o.Analysis.errors = 0 then `Ok ()
+    else begin
+      if not json then prerr_endline "dplint: analysis violations found";
+      exit 1
+    end
   in
   let term =
     Term.(
       ret
-        (const run $ obs_term $ roots_arg $ json_arg $ baseline_arg $ no_baseline_arg
-       $ write_baseline_arg $ core_arg $ serve_arg $ clock_arg))
+        (const run $ obs_term $ roots_arg $ json_arg $ core_arg $ serve_arg $ clock_arg))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -404,9 +361,8 @@ let analyze_cmd =
           (unguarded top-level mutable state reachable from Domain.spawn), float \
           taint of the exact ℚ core, and serve-path determinism (wall clocks, \
           Random.self_init, Hashtbl iteration order), plus waiver hygiene. Exit \
-          code: 0 iff zero error-severity diagnostics survive baseline \
-          subtraction, 1 otherwise; stale baseline entries are warnings and do \
-          not affect the exit code.")
+          code: 0 iff there is no error-severity diagnostic, 1 otherwise; warnings \
+          do not affect the exit code.")
     term
 
 (* ----------------------------------------------------------------- *)

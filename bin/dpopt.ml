@@ -203,11 +203,9 @@ let geometric_cmd =
     | Some i when i < 0 || i > n -> `Error (false, "input out of {0..n}")
     | Some i ->
       let rng = Prob.Rng.of_int seed in
-      (* One compiled alias table amortized over the batch: O(1) per
-         draw instead of an O(n) exact-rational CDF walk per draw.
-         [Compiled.draws] keeps the exact path for K=1, so
-         single-sample seed streams are unchanged from before compiled
-         samplers existed. *)
+      (* One exact table per row, built once for the batch: O(1) per
+         draw, and the K draws are the first K that repeated
+         [Mech.Mechanism.sample] calls would give. *)
       let sampler = Engine.Compiled.sampler_of_mechanism g in
       let out = Engine.Compiled.draws sampler ~input:i ~count:samples rng in
       print_endline (String.concat " " (List.map string_of_int (Array.to_list out)));
@@ -595,7 +593,7 @@ let engine_cmd =
     (Cmd.info "engine"
        ~doc:
          "Serve a stream of requests through the multicore engine: requests naming the same \
-          consumer share one cached, re-certified, alias-compiled mechanism; sampling fans \
+          consumer share one cached, re-certified, table-compiled mechanism; sampling fans \
           out over a Domain pool and merges deterministically (byte-identical output for \
           any --workers, given --seed).")
     term

@@ -67,11 +67,13 @@ let () =
      count. *)
   let trials = 50_000 in
   let sq_naive = ref 0 and sq_refined = ref 0 in
+  (* Exact samplers, built once: the deployed row at the true count
+     and every row of the interaction. *)
+  let publish = Mech.Sampler.of_row (Mech.Mechanism.row deployed flu) in
+  let refine = Array.map Mech.Sampler.of_row t in
   for _ = 1 to trials do
-    let published = Mech.Mechanism.sample deployed ~input:flu rng in
-    let refined =
-      Prob.Discrete.sample (Prob.Discrete.of_rat_row t.(published)) rng
-    in
+    let published = Mech.Sampler.draw publish rng in
+    let refined = Mech.Sampler.draw refine.(published) rng in
     sq_naive := !sq_naive + ((published - flu) * (published - flu));
     sq_refined := !sq_refined + ((refined - flu) * (refined - flu))
   done;

@@ -29,9 +29,9 @@ let () =
   let interaction = Minimax.Optimal_interaction.solve ~deployed:mechanism consumer in
 
   (* 5. Reinterpret the released value through the optimal interaction:
-        sample from row [released] of the interaction matrix. *)
+        sample exactly from row [released] of the interaction matrix. *)
   let row = interaction.Minimax.Optimal_interaction.interaction.(released) in
-  let refined = Prob.Discrete.sample (Prob.Discrete.of_rat_row row) rng in
+  let refined = Mech.Sampler.draw (Mech.Sampler.of_row row) rng in
   Printf.printf "consumer reinterpreted  : %d\n" refined;
 
   (* 6. The punchline (Theorem 1): this consumer's loss equals the loss

@@ -5,7 +5,6 @@ module Lint = Lint
 module Modinfo = Modinfo
 module Modgraph = Modgraph
 module Passes = Passes
-module Baseline = Baseline
 module D = Check.Diagnostic
 
 type config = {
@@ -35,7 +34,6 @@ type outcome = {
   diagnostics : D.t list;
   errors : int;
   warnings : int;
-  suppressed : int;
   files : int;
 }
 
@@ -66,17 +64,13 @@ let analyze config =
       in
       (List.length (Modgraph.paths g), sort_diags ds))
 
-let raw config = snd (analyze config)
-
-let run ?(baseline = Baseline.empty) config =
-  let files, diags = analyze config in
-  let kept, suppressed, stale = Baseline.apply baseline diags in
-  let diagnostics = sort_diags (kept @ stale) in
+let run config =
+  let files, diagnostics = analyze config in
   let count sev =
     List.length (List.filter (fun d -> d.D.severity = sev) diagnostics)
   in
   Obs.incr ~by:(List.length diagnostics) "analysis.findings";
-  { diagnostics; errors = count D.Error; warnings = count D.Warning; suppressed; files }
+  { diagnostics; errors = count D.Error; warnings = count D.Warning; files }
 
 let to_json o =
   Check.Json.Obj
@@ -84,6 +78,5 @@ let to_json o =
       ("files", Check.Json.Int o.files);
       ("errors", Check.Json.Int o.errors);
       ("warnings", Check.Json.Int o.warnings);
-      ("suppressed", Check.Json.Int o.suppressed);
       ("diagnostics", Check.Json.List (List.map D.to_json o.diagnostics));
     ]

@@ -3,20 +3,18 @@
     Three passes — {!Passes.domain_safety}, {!Passes.float_taint} and
     {!Passes.determinism} — run over a {!Modgraph.t} built from the
     configured roots, plus waiver hygiene over every scanned file. The
-    result is a list of {!Check.Diagnostic.t}s, optionally reduced by
-    an accepted-findings {!Baseline.t} so the wall starts green and
-    only ratchets.
+    result is a list of {!Check.Diagnostic.t}s. There is no
+    accepted-findings baseline: [lib/] and [bin/] analyze clean, so any
+    error is a regression.
 
     The exit-code contract lives one level up (in [dplint analyze]):
-    exit 1 iff at least one error-severity diagnostic survives
-    baseline subtraction. *)
+    exit 1 iff at least one error-severity diagnostic is found. *)
 
 module Lexer = Lexer
 module Lint = Lint
 module Modinfo = Modinfo
 module Modgraph = Modgraph
 module Passes = Passes
-module Baseline = Baseline
 
 type config = {
   roots : string list;  (** directories to scan, e.g. [["lib"; "bin"]] *)
@@ -36,22 +34,14 @@ val default_config : config
 
 type outcome = {
   diagnostics : Check.Diagnostic.t list;
-      (** surviving findings plus stale-baseline warnings, sorted by
-          (file, line, rule) *)
-  errors : int;  (** error-severity count after subtraction *)
+      (** every finding, sorted by (file, line, rule) and deduplicated *)
+  errors : int;  (** error-severity count *)
   warnings : int;
-  suppressed : int;  (** findings absorbed by the baseline *)
   files : int;  (** .ml files analyzed *)
 }
 
-val raw : config -> Check.Diagnostic.t list
-(** All findings with no baseline applied, sorted and deduplicated —
-    the input to [Baseline.of_diagnostics] when (re)writing a
-    baseline. *)
-
-val run : ?baseline:Baseline.t -> config -> outcome
+val run : config -> outcome
 
 val to_json : outcome -> Check.Json.t
-(** [{"files": …, "errors": …, "warnings": …, "suppressed": …,
-    "diagnostics": […]}] with each diagnostic in
+(** [{"files": …, "errors": …, "warnings": …, "diagnostics": […]}] with each diagnostic in
     {!Check.Diagnostic.to_json} form. *)

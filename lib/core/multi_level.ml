@@ -42,6 +42,8 @@ type plan = {
   levels : Rat.t array;  (** strictly increasing α's *)
   first : Mech.Mechanism.t;  (** G(n, α₁) *)
   stages : Rat.t array array array;  (** stages.(i) maps level i to i+1 *)
+  tables : Mech.Sampler.t array array;
+      (** row samplers: tables.(0) of [first], tables.(i) of stages.(i-1) *)
 }
 
 let make_plan ~n ~levels =
@@ -67,7 +69,11 @@ let make_plan ~n ~levels =
         Resilience.Fault.trip "multilevel.stage";
         transition ~n ~alpha:arr.(i) ~beta:arr.(i + 1))
   in
-  { n; levels = arr; first; stages }
+  let rows m = Array.map Mech.Sampler.of_row m in
+  let tables =
+    Array.append [| rows (Mech.Mechanism.matrix first) |] (Array.map rows stages)
+  in
+  { n; levels = arr; first; stages; tables }
 
 (** Run Algorithm 1: produce one correlated result per level. *)
 let release plan ~true_result rng =
@@ -75,16 +81,13 @@ let release plan ~true_result rng =
     invalid_arg "Multi_level.release: result out of range";
   Obs.span ~attrs:[ ("levels", Obs.Int (Array.length plan.levels)) ] "multilevel.release"
   @@ fun () ->
-  let k = Array.length plan.levels in
-  let out = Array.make k 0 in
-  let r1 = Mech.Mechanism.sample plan.first ~input:true_result rng in
-  out.(0) <- r1;
-  for i = 1 to k - 1 do
-    let t = plan.stages.(i - 1) in
-    let row = t.(out.(i - 1)) in
-    let dist = Prob.Discrete.of_rat_row row in
-    out.(i) <- Prob.Discrete.sample dist rng
-  done;
+  let out = Array.make (Array.length plan.tables) 0 in
+  let prev = ref true_result in
+  Array.iteri
+    (fun i rows ->
+      prev := Mech.Sampler.draw rows.(!prev) rng;
+      out.(i) <- !prev)
+    plan.tables;
   out
 
 (** Exact marginal of stage [i] (0-based): the matrix product

@@ -29,6 +29,9 @@ type plan = {
   levels : Rat.t array;  (** strictly increasing α's *)
   first : Mech.Mechanism.t;  (** [G(n, α₁)] *)
   stages : Rat.t array array array;  (** [stages.(i)] maps level [i] to [i+1] *)
+  tables : Mech.Sampler.t array array;
+      (** exact row samplers, built once: [tables.(0)] of [first],
+          [tables.(i)] of [stages.(i-1)] *)
 }
 
 val make_plan : n:int -> levels:Rat.t list -> plan
@@ -37,7 +40,8 @@ val make_plan : n:int -> levels:Rat.t list -> plan
 
 val release : plan -> true_result:int -> Prob.Rng.t -> int array
 (** Run Algorithm 1: one correlated result per level, least private
-    first. @raise Invalid_argument on an out-of-range result. *)
+    first, each drawn exactly from the plan's precomputed tables.
+    @raise Invalid_argument on an out-of-range result. *)
 
 val stage_marginal : plan -> int -> Mech.Mechanism.t
 (** Exact marginal of stage [i] — equal to [G(n, αᵢ)] by Lemma 3;

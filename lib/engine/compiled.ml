@@ -4,31 +4,9 @@ module M = Mech.Mechanism
 module S = Minimax.Serve
 module I = Check.Invariants
 
-type sampler = { mech : M.t; tables : Prob.Discrete.Alias.table array }
+exception Uncertified of { key : string; rule : string }
 
-let sampler_of_mechanism mech =
-  let size = M.size mech in
-  let tables =
-    Array.init size (fun i -> Prob.Discrete.Alias.build (M.row_distribution mech i))
-  in
-  { mech; tables }
-
-let sampler_mechanism s = s.mech
-
-let draw s ~input rng =
-  if input < 0 || input >= Array.length s.tables then
-    invalid_arg "Compiled.draw: input out of {0..n}";
-  Prob.Discrete.Alias.sample s.tables.(input) rng
-
-let draws s ~input ~count rng =
-  if count < 1 then invalid_arg "Compiled.draws: count must be >= 1";
-  if count = 1 then [| M.sample s.mech ~input rng |]
-  else begin
-    if input < 0 || input >= Array.length s.tables then
-      invalid_arg "Compiled.draws: input out of {0..n}";
-    let table = s.tables.(input) in
-    Array.init count (fun _ -> Prob.Discrete.Alias.sample table rng)
-  end
+type sampler = Mech.Sampler.t array
 
 type t = {
   key : string;
@@ -37,13 +15,22 @@ type t = {
   sampler : sampler;
 }
 
-exception Uncertified of { key : string; rule : string }
-
 let () =
   Printexc.register_printer (function
     | Uncertified { key; rule } ->
       Some (Printf.sprintf "Compiled.Uncertified(key=%s,rule=%s)" key rule)
     | _ -> None)
+
+let sampler_of_mechanism ?(key = "") mech =
+  Array.init (M.size mech) (fun i ->
+      try Mech.Sampler.of_row (M.row mech i)
+      with Mech.Sampler.Unfaithful _ -> raise (Uncertified { key; rule = "exact-sampler" }))
+
+let draws s ~input ~count rng =
+  if count < 1 then invalid_arg "Compiled.draws: count must be >= 1";
+  if input < 0 || input >= Array.length s then invalid_arg "Compiled.draws: input out of {0..n}";
+  let table = s.(input) in
+  Array.init count (fun _ -> Mech.Sampler.draw table rng)
 
 (* Independent re-audit of the released matrix. Serve already
    certified it once; compiling re-runs the analyzer so the cached
@@ -59,7 +46,7 @@ let compile ?budget ~alpha ~key consumer =
   Obs.span ~attrs:[ ("key", Obs.Str key) ] "engine.compile" @@ fun () ->
   let served = S.serve ?budget ~alpha consumer in
   let certificates = audit ~key ~alpha (M.matrix served.S.mechanism) in
-  let sampler = sampler_of_mechanism served.S.mechanism in
+  let sampler = sampler_of_mechanism ~key served.S.mechanism in
   Obs.incr "engine.compiles";
   { key; served; certificates; sampler }
 
@@ -74,7 +61,7 @@ let of_matrix ~key ~alpha ~loss ~provenance matrix =
   let certificates = audit ~key ~alpha matrix in
   let mechanism = M.unsafe_of_audited matrix in
   let served = { S.mechanism; loss; provenance } in
-  { key; served; certificates; sampler = sampler_of_mechanism mechanism }
+  { key; served; certificates; sampler = sampler_of_mechanism ~key mechanism }
 
 let rung t = t.served.S.provenance.S.rung
 let loss t = t.served.S.loss

@@ -2,36 +2,25 @@
 
     A {!t} is what the engine caches per distinct consumer: the served
     mechanism from the {!Minimax.Serve} degradation ladder, the
-    {!Check.Invariants} certificates earned on release, and one
-    {!Prob.Discrete.Alias} table per mechanism row so answering a query
-    costs O(1) per sample instead of an O(n)-rational CDF walk.
-
-    The alias tables sample the float image of each exact row; the
-    released matrix itself (and everything certified about it) stays
-    exact. Sampling therefore matches the exact sampler's distribution
-    to float precision — a property the frequency tests pin down — but
-    not its draw-by-draw stream, which is why {!draws} keeps the exact
-    path for single draws (preserving historical seed streams, e.g.
-    [dpopt geometric --samples 1]). *)
+    {!Check.Invariants} certificates earned on release, and one exact
+    {!Mech.Sampler} table per mechanism row, so answering a query costs
+    O(1) per sample. The tables sample the certified rows themselves,
+    in integers; a draw of any count is the same stream
+    {!Mech.Mechanism.sample} gives, draw for draw. *)
 
 type sampler
-(** Per-row alias tables plus the exact mechanism they were built
-    from. *)
+(** One {!Mech.Sampler} table per mechanism row. *)
 
-val sampler_of_mechanism : Mech.Mechanism.t -> sampler
-(** Build all [n+1] row tables; O(n²) once. *)
-
-val sampler_mechanism : sampler -> Mech.Mechanism.t
-
-val draw : sampler -> input:int -> Prob.Rng.t -> int
-(** One O(1) alias draw from row [input].
-    @raise Invalid_argument on an out-of-range input. *)
+val sampler_of_mechanism : ?key:string -> Mech.Mechanism.t -> sampler
+(** Build and check all [n+1] row tables; O(n²) once.
+    @raise Uncertified (rule ["exact-sampler"], under [key], default
+    [""]) if a table fails to reproduce its row — impossible for a
+    row-stochastic mechanism unless {!Mech.Sampler} is broken. *)
 
 val draws : sampler -> input:int -> count:int -> Prob.Rng.t -> int array
-(** [count] draws. [count = 1] takes the exact-rational CDF path
-    ({!Mech.Mechanism.sample}) so single-sample callers see exactly the
-    stream they saw before compiled samplers existed; [count >= 2] uses
-    the alias table. @raise Invalid_argument when [count < 1]. *)
+(** [count] exact draws from row [input], one path for every count.
+    @raise Invalid_argument when [count < 1] or [input] is out of
+    range. *)
 
 type t = {
   key : string;  (** the {!Request.canonical_key} this artifact serves *)
@@ -50,7 +39,7 @@ exception Uncertified of { key : string; rule : string }
 val compile : ?budget:Lp.Budget.t -> alpha:Rat.t -> key:string -> Minimax.Consumer.t -> t
 (** Run the serve ladder, re-verify the release through
     {!Check.Invariants.audit_release} (row-stochasticity, α-DP and
-    Theorem-2 derivability), and build the alias tables.
+    Theorem-2 derivability), and build the exact sampler tables.
     Emits an ["engine.compile"] span.
     @raise Uncertified if any re-verification fails *)
 
@@ -65,7 +54,7 @@ val of_matrix :
     from a disk artifact store) through the exact audit {!compile}
     applies: the raw matrix is re-verified via
     {!Check.Invariants.audit_release}, becomes a mechanism only once
-    that audit has certified it row-stochastic, and gets fresh alias
+    that audit has certified it row-stochastic, and gets fresh sampler
     tables, so the returned artifact carries freshly replayed
     certificates rather than trusted ones. [loss] and [provenance] are
     taken as given; the caller checks the loss. Never bumps

@@ -6,7 +6,7 @@
     consumer (same {!Request.canonical_key}) share one compiled
     artifact from a bounded LRU {!Cache}: the {!Minimax.Serve} ladder
     runs once, its release is re-certified through
-    {!Check.Invariants}, per-row {!Prob.Discrete.Alias} tables are
+    {!Check.Invariants}, per-row exact {!Mech.Sampler} tables are
     built once, and from then on every sample is O(1). Batches fan out
     over a {!Pool} of Domains and merge by request index, so output is
     byte-identical for any worker count given the batch seed.

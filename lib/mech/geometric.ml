@@ -74,24 +74,22 @@ let unbounded_noise_pmf ~alpha z =
     [center]. *)
 let unbounded_pmf ~alpha ~center z = unbounded_noise_pmf ~alpha (z - center)
 
-(** Sample the two-sided geometric noise [Z] (Definition 1).
+(** Sample the two-sided geometric noise [Z] (Definition 1), exactly.
 
     Decomposition: [Z = 0] with probability [(1-α)/(1+α)]; otherwise a
-    uniform sign and magnitude [m ≥ 1] geometric with
-    [Pr[m = k] ∝ α^k]. *)
-(* analysis: float-ok — inversion sampling deliberately runs in the
-   float mirror; the mechanism's matrix entries stay exact rationals
-   and are certified separately. *)
+    fair sign and a magnitude [m ≥ 1] with [Pr[m = k] = α^{k-1}(1-α)],
+    i.e. one plus the run of Bernoulli(α) successes. Every coin is a
+    {!Sampler} draw over a two-entry rational row. *)
 let sample_noise ~alpha rng =
-  let a = Rat.to_float alpha in
-  let p_zero = (1.0 -. a) /. (1.0 +. a) in
-  if Prob.Rng.float rng < p_zero then 0
+  check_alpha alpha;
+  let coin p = Sampler.of_row [| Rat.sub Rat.one p; p |] in
+  let nonzero = coin (Rat.div (Rat.add alpha alpha) (Rat.add Rat.one alpha)) in
+  if Sampler.draw nonzero rng = 0 then 0
   else begin
     let sign = if Prob.Rng.bool rng then 1 else -1 in
-    (* Geometric on {1,2,...} with success prob 1-a via inversion. *)
-    let u = Prob.Rng.float rng in
-    let magnitude = 1 + int_of_float (Float.floor (log1p (-.u) /. log a)) in
-    sign * max 1 magnitude
+    let longer = coin alpha in
+    let rec magnitude k = if Sampler.draw longer rng = 1 then magnitude (k + 1) else k in
+    sign * magnitude 1
   end
 
 (** Unbounded geometric mechanism: the true result plus noise. *)

@@ -39,7 +39,8 @@ val unbounded_pmf : alpha:Rat.t -> center:int -> int -> Rat.t
     value [center]. *)
 
 val sample_noise : alpha:Rat.t -> Prob.Rng.t -> int
-(** Sample the two-sided geometric noise [Z] of Definition 1. *)
+(** Sample the two-sided geometric noise [Z] of Definition 1 exactly:
+    every coin is a {!Sampler} draw, no float is involved. *)
 
 val sample_unbounded : alpha:Rat.t -> input:int -> Prob.Rng.t -> int
 (** The unbounded mechanism: true result plus noise. *)

@@ -105,22 +105,11 @@ let privacy_level t =
 (* Sampling                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Sampling uses exact rational arithmetic on a uniform dyadic draw,
-    so the sampled distribution is the matrix row exactly (up to the
-    53-bit resolution of the underlying uniform). *)
+(** One exact draw from row [input] through a fresh {!Sampler} table,
+    so it is the first draw of any batch sampled from that row. *)
 let sample t ~input rng =
   if input < 0 || input > t.n then invalid_arg "Mechanism.sample: input out of range";
-  let u = Rat.of_float_dyadic (Prob.Rng.float rng) in
-  let rec walk r acc =
-    if r >= t.n then t.n
-    else
-      let acc = Rat.add acc t.matrix.(input).(r) in
-      if Rat.compare u acc < 0 then r else walk (r + 1) acc
-  in
-  walk 0 Rat.zero
-
-(** Row [i] as a float distribution, for statistics. *)
-let row_distribution t i = Prob.Discrete.of_rat_row t.matrix.(i)
+  Sampler.draw (Sampler.of_row t.matrix.(input)) rng
 
 (* ------------------------------------------------------------------ *)
 (* Expected / worst-case loss                                         *)

@@ -68,12 +68,10 @@ val privacy_level : t -> Rat.t
 (** {1 Sampling} *)
 
 val sample : t -> input:int -> Prob.Rng.t -> int
-(** Draw an output from row [input] using exact-rational CDF walking
-    over a 53-bit uniform. @raise Invalid_argument on out-of-range
-    input. *)
-
-val row_distribution : t -> int -> Prob.Discrete.t
-(** Row [i] as a float distribution, for statistics. *)
+(** Draw an output from row [input] exactly, through a {!Sampler}
+    table built for the call; equal to the first of the draws a
+    table built once for that row yields on the same generator.
+    @raise Invalid_argument on out-of-range input. *)
 
 (** {1 Loss} *)
 

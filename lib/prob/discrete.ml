@@ -1,10 +1,9 @@
 (** Discrete probability distributions over integer supports.
 
     A distribution is a normalized probability mass function stored as
-    [(value, mass)] pairs with float masses. Two samplers are provided:
-    inverse-CDF (simple, O(support)) and Walker's alias method
-    (O(1) per draw after O(support) setup) for the sampling-throughput
-    benchmarks. *)
+    [(value, mass)] pairs with float masses, for statistics: χ² targets,
+    moments and distances. Its inverse-CDF sampler draws floats; every
+    mechanism draw goes through the exact [Mech.Sampler] instead. *)
 
 type t = {
   support : int array;  (** strictly increasing *)
@@ -134,33 +133,3 @@ let pp fmt t =
   Format.fprintf fmt "@[<v>";
   Array.iteri (fun i v -> Format.fprintf fmt "%d: %.6f@," v t.pmf.(i)) t.support;
   Format.fprintf fmt "@]"
-
-(* ------------------------------------------------------------------ *)
-(* Walker's alias method                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Alias = struct
-  type table = { values : int array; prob : float array; alias : int array }
-
-  let build (d : t) =
-    let n = Array.length d.pmf in
-    let prob = Array.make n 0.0 and alias = Array.make n 0 in
-    let scaled = Array.map (fun p -> p *. float_of_int n) d.pmf in
-    let small = Queue.create () and large = Queue.create () in
-    Array.iteri (fun i p -> Queue.add i (if p < 1.0 then small else large)) scaled;
-    while (not (Queue.is_empty small)) && not (Queue.is_empty large) do
-      let s = Queue.pop small and l = Queue.pop large in
-      prob.(s) <- scaled.(s);
-      alias.(s) <- l;
-      scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-      Queue.add l (if scaled.(l) < 1.0 then small else large)
-    done;
-    Queue.iter (fun i -> prob.(i) <- 1.0) small;
-    Queue.iter (fun i -> prob.(i) <- 1.0) large;
-    { values = Array.copy d.support; prob; alias }
-
-  let sample tbl rng =
-    let n = Array.length tbl.prob in
-    let i = Rng.int rng n in
-    if Rng.float rng < tbl.prob.(i) then tbl.values.(i) else tbl.values.(tbl.alias.(i))
-end

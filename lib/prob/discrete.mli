@@ -2,8 +2,8 @@
 
     A value of type {!t} is a normalized probability mass function.
     Masses are floats (the exact-rational side of the repository lives
-    in mechanism matrices; distributions exist for {e sampling} and
-    statistics). *)
+    in mechanism matrices, sampled exactly by [Mech.Sampler];
+    distributions exist for statistics and float-valued draws). *)
 
 type t
 
@@ -56,11 +56,3 @@ val kl_divergence : t -> t -> float
     escapes [b]'s. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Walker's alias method: O(1) sampling after O(support) setup. *)
-module Alias : sig
-  type table
-
-  val build : t -> table
-  val sample : table -> Rng.t -> int
-end

@@ -22,8 +22,9 @@ let next_int64 t =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (** Uniform float in [0, 1). 53 random mantissa bits. *)
-(* analysis: float-ok — unit-interval conversion feeding only the
-   float-mirror samplers; the exact path never calls it. *)
+(* analysis: float-ok — unit-interval conversion for the float-valued
+   draws (the Laplace baseline, Discrete's inverse CDF, synthetic
+   data); no mechanism draw calls it, Mech.Sampler draws integers. *)
 let float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
@@ -32,9 +33,15 @@ let float t =
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
+  (* The smallest 2^k − 1 (k >= 1) covering bound − 1: smear its top bit down. *)
   let mask =
-    let rec grow m = if m >= bound - 1 then m else grow ((m lsl 1) lor 1) in
-    grow 1
+    let m = (bound - 1) lor 1 in
+    let m = m lor (m lsr 1) in
+    let m = m lor (m lsr 2) in
+    let m = m lor (m lsr 4) in
+    let m = m lor (m lsr 8) in
+    let m = m lor (m lsr 16) in
+    m lor (m lsr 32)
   in
   let rec draw () =
     let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) land mask in

@@ -1,6 +1,6 @@
 (* Golden tests for lib/analysis: the three passes over the fixture
-   mini-tree under fixtures/analysis/, waiver hygiene, and the
-   baseline ratchet. Diagnostics are compared byte-for-byte against
+   mini-tree under fixtures/analysis/, waiver hygiene, and the real
+   tree analyzing clean. Diagnostics are compared byte-for-byte against
    their rendered form so any drift in rules, messages, witnesses or
    ordering shows up as a diff. *)
 
@@ -103,7 +103,7 @@ let golden =
   ]
 
 let test_golden_tree () =
-  let rendered = List.map render (A.raw cfg) in
+  let rendered = List.map render ((A.run cfg).A.diagnostics) in
   Alcotest.(check int) "finding count" (List.length golden)
     (List.length rendered);
   List.iteri
@@ -115,7 +115,7 @@ let test_golden_tree () =
    silent: byte-identical output depends on the negatives as much as
    the positives. *)
 let test_negatives () =
-  let rendered = List.map render (A.raw cfg) in
+  let rendered = List.map render ((A.run cfg).A.diagnostics) in
   let silent_locs =
     [
       "state.ml:8:" (* bump: inside Mutex.protect *);
@@ -141,116 +141,7 @@ let test_outcome_counts () =
   let o = A.run cfg in
   Alcotest.(check int) "files" 5 o.A.files;
   Alcotest.(check int) "errors" 11 o.A.errors;
-  Alcotest.(check int) "warnings" 0 o.A.warnings;
-  Alcotest.(check int) "suppressed" 0 o.A.suppressed
-
-let baseline_of_entries entries =
-  let open Check.Json in
-  let entry (rule, file, symbol, allowed) =
-    Obj
-      [
-        ("rule", Str rule);
-        ("file", Str file);
-        ("symbol", Str symbol);
-        ("allowed", Int allowed);
-      ]
-  in
-  match
-    A.Baseline.of_json
-      (Obj [ ("version", Int 1); ("entries", List (List.map entry entries)) ])
-  with
-  | Ok b -> b
-  | Error e -> Alcotest.failf "baseline_of_entries: %s" e
-
-(* A matching entry with a sufficient allowance absorbs its whole
-   group and nothing else. *)
-let test_baseline_suppression () =
-  let baseline =
-    baseline_of_entries
-      [
-        ( "analysis/float-taint",
-          "fixtures/analysis/lib/util/util.ml",
-          "1.5",
-          1 );
-      ]
-  in
-  let o = A.run ~baseline cfg in
-  Alcotest.(check int) "errors" 10 o.A.errors;
-  Alcotest.(check int) "suppressed" 1 o.A.suppressed;
-  Alcotest.(check int) "warnings" 0 o.A.warnings;
-  List.iter
-    (fun d ->
-      let line = render d in
-      if contains ~affix:"util.ml" line then
-        Alcotest.failf "baselined finding survived: %s" line)
-    o.A.diagnostics
-
-(* One finding over the allowance and the whole group surfaces, each
-   instance carrying the allowance in its witness. *)
-let test_baseline_overflow () =
-  let baseline =
-    baseline_of_entries
-      [
-        ( "analysis/domain-unsafe",
-          "fixtures/analysis/lib/state/state.ml",
-          "counter",
-          2 );
-      ]
-  in
-  let o = A.run ~baseline cfg in
-  Alcotest.(check int) "errors" 11 o.A.errors;
-  Alcotest.(check int) "suppressed" 0 o.A.suppressed;
-  let overflowed =
-    List.filter
-      (fun d -> contains ~affix:"baseline_allowed=2" (render d))
-      o.A.diagnostics
-  in
-  Alcotest.(check int) "instances carrying the allowance" 3
-    (List.length overflowed)
-
-(* An entry matching nothing keeps the wall green but warns, so
-   `make analyze-baseline` gets re-run to ratchet down. *)
-let test_stale_baseline () =
-  let baseline =
-    baseline_of_entries
-      [ ("analysis/float-taint", "lib/gone/gone.ml", "0.25", 4) ]
-  in
-  let o = A.run ~baseline cfg in
-  Alcotest.(check int) "errors" 11 o.A.errors;
-  Alcotest.(check int) "warnings" 1 o.A.warnings;
-  let stale =
-    List.filter
-      (fun d -> contains ~affix:"analysis/stale-baseline" (render d))
-      o.A.diagnostics
-  in
-  Alcotest.(check int) "stale warnings" 1 (List.length stale)
-
-(* of_diagnostics over the raw findings must accept exactly the
-   current state: applying it back yields a green wall. The JSON
-   round-trip must preserve every entry. *)
-let test_baseline_roundtrip () =
-  let raw = A.raw cfg in
-  let baseline = A.Baseline.of_diagnostics raw in
-  let o = A.run ~baseline cfg in
-  Alcotest.(check int) "errors after self-baseline" 0 o.A.errors;
-  Alcotest.(check int) "suppressed" 11 o.A.suppressed;
-  Alcotest.(check int) "warnings" 0 o.A.warnings;
-  match A.Baseline.of_json (A.Baseline.to_json baseline) with
-  | Error e -> Alcotest.failf "round-trip: %s" e
-  | Ok b ->
-      Alcotest.(check int) "entry count survives round-trip"
-        (List.length (A.Baseline.entries baseline))
-        (List.length (A.Baseline.entries b));
-      List.iter2
-        (fun (x : A.Baseline.entry) (y : A.Baseline.entry) ->
-          Alcotest.(check string) "rule" x.A.Baseline.brule y.A.Baseline.brule;
-          Alcotest.(check string) "file" x.A.Baseline.bfile y.A.Baseline.bfile;
-          Alcotest.(check string) "symbol" x.A.Baseline.bsymbol
-            y.A.Baseline.bsymbol;
-          Alcotest.(check int) "allowed" x.A.Baseline.allowed
-            y.A.Baseline.allowed)
-        (A.Baseline.entries baseline)
-        (A.Baseline.entries b)
+  Alcotest.(check int) "warnings" 0 o.A.warnings
 
 (* Lexer spot checks: the classifications the passes lean on. *)
 let test_lexer () =
@@ -329,22 +220,25 @@ let test_serve_roots_cover_dpserved () =
           (String.concat " -> " chain))
     daemon
 
-(* The exact LP core is float-free by construction: with the default
-   configuration and no baseline, the float-taint pass finds nothing
-   under lib/linalg or lib/lp. The float field, the float matrices and
-   the float simplex live in the test-only lp_oracle library, outside
-   the scanned roots. *)
-let test_exact_lp_core_float_free () =
-  let anchor = List.map (fun p -> "../" ^ p) in
+(* The default configuration, anchored at the repository's lib/ and
+   bin/ next to the test directory. *)
+let anchor = List.map (fun p -> "../" ^ p)
+
+let tree_cfg =
   let c = A.default_config in
-  let cfg =
-    {
-      A.roots = anchor c.roots;
-      core_dirs = anchor c.core_dirs;
-      serve_roots = anchor c.serve_roots;
-      clock_exempt = anchor c.clock_exempt;
-    }
-  in
+  {
+    A.roots = anchor c.roots;
+    core_dirs = anchor c.core_dirs;
+    serve_roots = anchor c.serve_roots;
+    clock_exempt = anchor c.clock_exempt;
+  }
+
+(* The exact LP core is float-free by construction: with the default
+   configuration, the float-taint pass finds nothing under lib/linalg
+   or lib/lp. The float field, the float matrices and the float simplex
+   live in the test-only lp_oracle library, outside the scanned
+   roots. *)
+let test_exact_lp_core_float_free () =
   let in_lp_core (d : D.t) =
     match d.location with
     | D.Source_line { file; _ } ->
@@ -353,15 +247,26 @@ let test_exact_lp_core_float_free () =
   in
   (* Vacuity guard: the scan must actually reach the LP core. *)
   Alcotest.(check bool) "lib/lp/lp.ml scanned" true
-    (List.mem "../lib/lp/lp.ml" (A.Modgraph.paths (A.Modgraph.build ~roots:cfg.roots)));
+    (List.mem "../lib/lp/lp.ml" (A.Modgraph.paths (A.Modgraph.build ~roots:tree_cfg.roots)));
   let tainted =
     List.filter
       (fun (d : D.t) -> d.rule = "analysis/float-taint" && in_lp_core d)
-      (A.run cfg).A.diagnostics
+      (A.run tree_cfg).A.diagnostics
   in
   List.iter (fun d -> Format.eprintf "%a@." D.pp d) tainted;
   Alcotest.(check int) "float-taint findings under lib/linalg and lib/lp" 0
     (List.length tainted)
+
+(* There is no baseline of accepted findings: the analyzer over the
+   whole of lib/ and bin/ reports no error at all, so `dune build
+   @analyze` fails on the first one that appears. *)
+let test_tree_is_clean () =
+  let o = A.run tree_cfg in
+  List.iter
+    (fun (d : D.t) -> if d.severity = D.Error then Format.eprintf "%a@." D.pp d)
+    o.A.diagnostics;
+  Alcotest.(check bool) "files scanned" true (o.A.files > 50);
+  Alcotest.(check int) "errors over lib/ and bin/" 0 o.A.errors
 
 (* The test oracle (exact and float elimination, the tableau simplex,
    the float mirrors) stays test-only: no dune stanza under lib/ or bin/
@@ -413,15 +318,7 @@ let () =
             test_exact_lp_core_float_free;
           Alcotest.test_case "no lib/ or bin/ stanza links lp_oracle" `Quick
             test_oracle_isolated;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "suppression" `Quick test_baseline_suppression;
-          Alcotest.test_case "overflow surfaces group" `Quick
-            test_baseline_overflow;
-          Alcotest.test_case "stale entry warns" `Quick test_stale_baseline;
-          Alcotest.test_case "self-baseline is green" `Quick
-            test_baseline_roundtrip;
+          Alcotest.test_case "lib/ and bin/ analyze clean" `Quick test_tree_is_clean;
         ] );
       ("lexer", [ Alcotest.test_case "classification" `Quick test_lexer ]);
     ]

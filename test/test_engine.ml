@@ -198,15 +198,21 @@ let test_compile_certifies () =
     (Rat.equal (Co.loss c) tailored.Minimax.Optimal_mechanism.loss)
 
 let test_single_draw_takes_exact_path () =
-  (* dpopt geometric --samples 1 must see exactly the pre-engine
-     stream: count=1 routes through Mech.Mechanism.sample. *)
+  (* One exact path for every count: count=k is k successive
+     Mech.Mechanism.sample calls on one generator, so a count=1 answer
+     is the first draw of any count=k answer. *)
   let n = 6 in
   let g = Mech.Geometric.matrix ~n ~alpha:(q 1 2) in
   let s = Co.sampler_of_mechanism g in
   for input = 0 to n do
-    let compiled = Co.draws s ~input ~count:1 (Rng.of_int (100 + input)) in
-    let exact = M.sample g ~input (Rng.of_int (100 + input)) in
-    Alcotest.(check int) "count=1 equals exact sampler" exact compiled.(0)
+    List.iter
+      (fun count ->
+        let compiled = Co.draws s ~input ~count (Rng.of_int (100 + input)) in
+        let rng = Rng.of_int (100 + input) in
+        let exact = Array.init count (fun _ -> M.sample g ~input rng) in
+        Alcotest.(check (array int)) (Printf.sprintf "count=%d equals exact sampler" count) exact
+          compiled)
+      [ 1; 2; 17 ]
   done;
   Alcotest.check_raises "count 0" (Invalid_argument "Compiled.draws: count must be >= 1")
     (fun () -> ignore (Co.draws s ~input:0 ~count:0 (Rng.of_int 1)))

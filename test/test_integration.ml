@@ -33,7 +33,7 @@ let test_publish_flu_count () =
   let xs = Array.init 20_000 (fun _ -> M.sample g ~input:true_count rng) in
   Array.iter (fun r -> if r < 0 || r > n then Alcotest.failf "out of range %d" r) xs;
   Alcotest.(check bool) "release matches G row" true
-    (Prob.Stats.fits xs (M.row_distribution g true_count))
+    (Prob.Stats.fits xs (Prob.Discrete.of_rat_row (M.row g true_count)))
 
 (* --------------------------------------------------------------- *)
 (* Scenario: the drug company applies its side information.         *)

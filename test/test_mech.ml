@@ -2,7 +2,8 @@
    verification, the geometric mechanism's defining properties
    (Definitions 1/4, Lemma 1), the Theorem-2 derivability
    characterization including the Appendix-B counterexample, baseline
-   mechanisms, and sampler/matrix consistency. *)
+   mechanisms, sampler/matrix consistency, and the exact row sampler
+   (every table's pmf is its row in ℚ). *)
 
 module M = Mech.Mechanism
 module Geo = Mech.Geometric
@@ -159,7 +160,7 @@ let test_sampler_matches_matrix () =
   List.iter
     (fun input ->
       let xs = Array.init 30_000 (fun _ -> Geo.sample_clamped ~n ~alpha ~input rng) in
-      let target = M.row_distribution g input in
+      let target = Prob.Discrete.of_rat_row (M.row g input) in
       Alcotest.(check bool)
         (Printf.sprintf "χ² input %d" input)
         true
@@ -172,7 +173,7 @@ let test_matrix_sampler_matches_matrix () =
   let g = Geo.matrix ~n ~alpha in
   let rng = Prob.Rng.of_int 777 in
   let xs = Array.init 30_000 (fun _ -> M.sample g ~input:2 rng) in
-  Alcotest.(check bool) "χ²" true (Prob.Stats.fits xs (M.row_distribution g 2))
+  Alcotest.(check bool) "χ²" true (Prob.Stats.fits xs (Prob.Discrete.of_rat_row (M.row g 2)))
 
 let test_check_alpha () =
   Alcotest.check_raises "alpha 0" (Invalid_argument "Geometric: alpha must satisfy 0 < alpha < 1")
@@ -478,6 +479,113 @@ let properties =
         !ok);
   ]
 
+(* --------------------------------------------------------------- *)
+(* Exact sampler                                                    *)
+(* --------------------------------------------------------------- *)
+
+module Sa = Mech.Sampler
+
+(* Random probability vectors of length 1–12: non-negative rational
+   weights normalized by their sum. With [big], every weight's
+   denominator is at least 2^62, so m·d cannot fit in a word. *)
+let arb_row =
+  let open QCheck.Gen in
+  let gen =
+    let* m = int_range 1 12 in
+    let* big = bool in
+    let+ weights =
+      array_repeat m
+        (map2
+           (fun a b ->
+             let den = if big then Bigint.add_int (Bigint.shift_left Bigint.one 62) b else Bigint.of_int b in
+             Rat.make (Bigint.of_int a) den)
+           (oneof [ return 0; int_range 0 1000 ]) (int_range 1 1000))
+    in
+    let weights = if Array.for_all Rat.is_zero weights then Array.make m Rat.one else weights in
+    let total = Array.fold_left Rat.add Rat.zero weights in
+    Array.map (fun w -> Rat.div w total) weights
+  in
+  QCheck.make
+    ~print:(fun row -> String.concat "; " (Array.to_list (Array.map Rat.to_string row)))
+    gen
+
+(* The table samples the row exactly, and runs on limbs exactly when
+   m·d exceeds a native word. *)
+let table_is_exact row =
+  let t = Sa.of_row row in
+  let d = Array.fold_left (fun acc p -> Bigint.lcm acc (Rat.den p)) Bigint.one row in
+  let wide = Bigint.to_int (Bigint.mul_int d (Array.length row)) = None in
+  Array.for_all2 Rat.equal (Sa.pmf t) row && Sa.width t = if wide then `Limbs else `Word
+
+(* Every u in [0, m·d), pushed through the draw's decision, releases
+   column j exactly m·d·p_j times. *)
+let enumerate row =
+  let t = Sa.of_row row in
+  let bound = Bigint.to_int_exn (Sa.bound t) in
+  let counts = Array.make (Array.length row) 0 in
+  for u = 0 to bound - 1 do
+    let j = Sa.outcome t (Bigint.of_int u) in
+    counts.(j) <- counts.(j) + 1
+  done;
+  Array.iteri
+    (fun j p ->
+      Alcotest.check rat (Printf.sprintf "count %d / m·d" j) p (Rat.of_ints counts.(j) bound))
+    row
+
+let test_sampler_enumeration () =
+  List.iter enumerate
+    [
+      [| Rat.one |];
+      [| q 1 2; q 1 3; q 1 6 |];
+      [| Rat.zero; Rat.one; Rat.zero |];
+      [| q 3 7; Rat.zero; q 4 7; Rat.zero |];
+    ];
+  List.iter
+    (fun (n, alpha) ->
+      let g = Geo.matrix ~n ~alpha in
+      for i = 0 to n do
+        enumerate (M.row g i)
+      done)
+    [ (1, half); (4, half); (6, half); (5, q 1 3); (6, q 2 3) ]
+
+let test_sampler_limb_path () =
+  (* G(64, 1/2)'s end rows have d = 3·2^64: the uniform is drawn over
+     limbs, and the draws stay in range. *)
+  let g = Geo.matrix ~n:64 ~alpha:half in
+  List.iter
+    (fun i ->
+      let t = Sa.of_row (M.row g i) in
+      Alcotest.(check bool) "limb path" true (Sa.width t = `Limbs);
+      Alcotest.(check bool) "pmf is the row" true (Array.for_all2 Rat.equal (Sa.pmf t) (M.row g i));
+      let rng = Prob.Rng.of_int 64 in
+      for _ = 1 to 2_000 do
+        let r = Sa.draw t rng in
+        if r < 0 || r > 64 then Alcotest.failf "draw out of range: %d" r
+      done)
+    [ 0; 64 ];
+  Alcotest.(check bool) "a short row stays on words" true
+    (Sa.width (Sa.of_row (M.row (Geo.matrix ~n:6 ~alpha:half) 3)) = `Word)
+
+let test_sampler_refuses () =
+  let refuses row =
+    match Sa.of_row row with
+    | exception Sa.Unfaithful _ -> ()
+    | _ -> Alcotest.failf "accepted [%s]" (String.concat "; " (Array.to_list (Array.map Rat.to_string row)))
+  in
+  refuses [| q 1 2; q 1 3 |];
+  refuses [| q 1 2; q 2 3 |];
+  refuses [| q (-1) 2; q 3 2 |];
+  Alcotest.check_raises "empty row" (Invalid_argument "Sampler.of_row: empty row") (fun () ->
+      ignore (Sa.of_row [||]))
+
+let sampler_tests =
+  [
+    Alcotest.test_case "enumeration is exact" `Quick test_sampler_enumeration;
+    Alcotest.test_case "G(64,1/2) end rows take limbs" `Quick test_sampler_limb_path;
+    Alcotest.test_case "non-stochastic rows refused" `Quick test_sampler_refuses;
+    prop "table pmf equals the row" 300 arb_row table_is_exact;
+  ]
+
 let () =
   Alcotest.run "mech"
     [
@@ -523,4 +631,5 @@ let () =
           Alcotest.test_case "closure under post-processing" `Quick test_derivable_closed_under_postprocessing;
         ] );
       ("properties", properties);
+      ("sampler", sampler_tests);
     ]

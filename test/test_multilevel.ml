@@ -104,9 +104,9 @@ let test_release_statistics () =
   done;
   let g1 = Geo.matrix ~n ~alpha:(q 1 4) and g2 = Geo.matrix ~n ~alpha:(q 3 5) in
   Alcotest.(check bool) "first marginal" true
-    (Prob.Stats.fits first (M.row_distribution g1 input));
+    (Prob.Stats.fits first (Prob.Discrete.of_rat_row (M.row g1 input)));
   Alcotest.(check bool) "second marginal" true
-    (Prob.Stats.fits second (M.row_distribution g2 input))
+    (Prob.Stats.fits second (Prob.Discrete.of_rat_row (M.row g2 input)))
 
 (* --------------------------------------------------------------- *)
 (* Lemma 4: collusion resistance                                    *)

@@ -1,6 +1,6 @@
 (* Tests for the probability substrate: PRNG determinism and range,
    discrete-distribution algebra, samplers validated by χ² and TV
-   distance, alias method vs inverse-CDF. *)
+   distance, the exact alias table vs the float inverse CDF. *)
 
 module Rng = Prob.Rng
 module D = Prob.Discrete
@@ -133,28 +133,35 @@ let test_point_sampler () =
     Alcotest.(check int) "always 7" 7 (D.sample d rng)
   done
 
+(* The exact alias table of Mech.Sampler over the same masses as
+   rationals: column j stands for support value 10 + j. *)
 let test_alias_matches_inverse_cdf () =
   let d = D.of_assoc [ (10, 0.05); (11, 0.25); (12, 0.4); (13, 0.3) ] in
-  let tbl = D.Alias.build d in
+  let tbl =
+    Mech.Sampler.of_row [| Rat.of_ints 1 20; Rat.of_ints 1 4; Rat.of_ints 2 5; Rat.of_ints 3 10 |]
+  in
   let rng = Rng.of_int 99 in
-  let xs = Array.init 40_000 (fun _ -> D.Alias.sample tbl rng) in
+  let xs = Array.init 40_000 (fun _ -> 10 + Mech.Sampler.draw tbl rng) in
   Alcotest.(check bool) "alias χ² fits target" true (S.fits xs d)
 
 let test_alias_vs_exact_tv () =
-  (* The engine swaps the inverse-CDF sampler for alias tables; this
-     pins down that the two draw from the same distribution — fixed
+  (* The float inverse-CDF sampler (statistics only) and the exact
+     integer alias table every mechanism draw uses must agree — fixed
      seeds, empirical total-variation distance within bound, both
      between the samplers and from each to the target pmf. *)
   let d = D.of_assoc [ (0, 0.35); (1, 0.05); (2, 0.25); (3, 0.2); (4, 0.15) ] in
-  let tbl = D.Alias.build d in
+  let tbl =
+    Mech.Sampler.of_row
+      (Array.map (fun k -> Rat.of_ints k 20) [| 7; 1; 5; 4; 3 |])
+  in
   let n = 60_000 in
-  let xs_exact = S.draw d (Rng.of_int 2024) n in
+  let xs_cdf = S.draw d (Rng.of_int 2024) n in
   let rng = Rng.of_int 4048 in
-  let xs_alias = Array.init n (fun _ -> D.Alias.sample tbl rng) in
-  let between = D.total_variation (S.empirical xs_exact) (S.empirical xs_alias) in
-  Alcotest.(check bool) "tv(alias, exact) < 0.02" true (between < 0.02);
+  let xs_alias = Array.init n (fun _ -> Mech.Sampler.draw tbl rng) in
+  let between = D.total_variation (S.empirical xs_cdf) (S.empirical xs_alias) in
+  Alcotest.(check bool) "tv(alias, cdf) < 0.02" true (between < 0.02);
   Alcotest.(check bool) "tv(alias, target) < 0.02" true (S.empirical_tv xs_alias d < 0.02);
-  Alcotest.(check bool) "tv(exact, target) < 0.02" true (S.empirical_tv xs_exact d < 0.02)
+  Alcotest.(check bool) "tv(cdf, target) < 0.02" true (S.empirical_tv xs_cdf d < 0.02)
 
 let test_empirical () =
   let xs = [| 1; 1; 2; 2; 2; 3 |] in
