@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze chaos store-chaos session-chaos serve-smoke lp-bench bench bench-json engine-bench clean
+.PHONY: all build test lint chaos store-chaos session-chaos serve-smoke lp-bench bench bench-json engine-bench clean
 
 all: build
 
@@ -9,15 +9,10 @@ build:
 test:
 	dune runtest
 
-# Just the wall: dplint lint-src over the tree + geometric self-certification.
+# Just the wall: dplint check over the tree (lint rules + the
+# cross-module passes over lib/ and bin/) + the certificate self-checks.
 lint:
 	dune build @lint
-
-# Cross-module static analysis: domain-safety, float-taint and
-# determinism passes over lib/ + bin/; any error fails it (@lint, and
-# therefore `make test`, depends on this too).
-analyze:
-	dune build @analyze
 
 # Fault matrix: every trigger site x action x hit discipline; the serve
 # ladder must release a certified mechanism under all of them (@runtest

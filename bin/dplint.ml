@@ -6,12 +6,11 @@
                       mechanism matrix (from a file or --geometric)
      check-derivable  certify Theorem 2 / Lemma 3: derivability of a matrix
                       (or of G(n,beta)) from G(n,alpha)
-     lint-src         scan OCaml sources for exactness-hostile patterns
-                      (Obj.magic, bare `with _ ->`, float-literal =,
-                      mli-less lib modules)
-     analyze          cross-module analysis over the serving tree:
-                      domain-safety, float taint of the exact core, and
-                      serve-path determinism; any error fails it
+     check            check OCaml sources: the lint rules (Obj.magic, bare
+                      `with _ ->`, float-literal =, mli-less lib modules, …)
+                      and the cross-module passes over lib/ and bin/
+                      (domain safety, float taint of the exact core,
+                      serve-path determinism, waiver hygiene)
 
    Every verdict is available as JSON (--json); violations carry exact
    rational witnesses, passes carry replayable certificates. Exit code
@@ -144,77 +143,21 @@ let render_reports ~json reports =
 (* check-mech                                                        *)
 (* ----------------------------------------------------------------- *)
 
-let deadline_arg =
-  let doc =
-    "Wall-clock budget in milliseconds. The deadline is re-checked between invariant \
-     rules; rules that no longer fit are skipped and reported (a skipped rule is not a \
-     certification, so the exit code is still 1)."
-  in
-  Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-
 let check_mech_cmd =
-  let run () geometric n alpha file json deadline_ms =
+  let run () geometric n alpha file json =
     match matrix_of_args ~geometric ~n ~alpha ~file with
     | Error m -> `Error (false, m)
-    | Ok matrix -> (
-      match deadline_ms with
-      | None -> render_reports ~json (Check.Invariants.check_mech ~alpha matrix)
-      | Some ms ->
-        (* The same rules check_mech runs, as thunks, so the deadline
-           can be consulted before each one. *)
-        let module I = Check.Invariants in
-        let rules =
-          [
-            ("row-stochastic", fun () -> I.row_stochastic matrix);
-            ("alpha-dp", fun () -> I.alpha_dp ~alpha matrix);
-            ("derivable", fun () -> I.derivability ~alpha matrix);
-            ("factorization", fun () -> I.factorization ~alpha matrix);
-          ]
-        in
-        let budget = Resilience.Budget.make ~deadline_ms:ms () in
-        let reports, skipped =
-          List.fold_left
-            (fun (done_, skipped) (name, rule) ->
-              match Resilience.Budget.check budget ~pivots:0 ~peak_bits:0 with
-              | Some _ -> (done_, name :: skipped)
-              | None -> (rule () :: done_, skipped))
-            ([], []) rules
-        in
-        let reports = List.rev reports and skipped = List.rev skipped in
-        if json then
-          print_endline
-            (Check.Json.to_string
-               (Check.Json.Obj
-                  [
-                    ("summary", I.summary_to_json reports);
-                    ("skipped", Check.Json.List (List.map (fun s -> Check.Json.Str s) skipped));
-                  ]))
-        else begin
-          List.iter (fun r -> Format.printf "%a@." I.pp_report r) reports;
-          if skipped <> [] then
-            Printf.printf "deadline expired after %dms; skipped: %s\n" ms
-              (String.concat ", " skipped)
-        end;
-        if I.all_passed reports && skipped = [] then `Ok ()
-        else begin
-          if not json then prerr_endline "dplint: violations found or rules skipped";
-          exit 1
-        end)
+    | Ok matrix -> render_reports ~json (Check.Invariants.check_mech ~alpha matrix)
   in
   let term =
-    Term.(
-      ret
-        (const run $ obs_term $ geometric_arg $ n_arg $ alpha_arg $ file_arg $ json_arg
-       $ deadline_arg))
+    Term.(ret (const run $ obs_term $ geometric_arg $ n_arg $ alpha_arg $ file_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "check-mech"
        ~doc:
          "Certify a mechanism matrix: row-stochasticity, α-differential privacy \
           (Definition 2), Theorem-2 derivability, and the constructive factorization \
-          T = G⁻¹·M. Violations carry exact rational witnesses. With --deadline-ms, \
-          the deadline is re-checked between rules and late rules are skipped (and \
-          reported).")
+          T = G⁻¹·M. Violations carry exact rational witnesses.")
     term
 
 (* ----------------------------------------------------------------- *)
@@ -254,115 +197,47 @@ let check_derivable_cmd =
     term
 
 (* ----------------------------------------------------------------- *)
-(* lint-src                                                          *)
+(* check                                                             *)
 (* ----------------------------------------------------------------- *)
 
-let lint_src_cmd =
+let check_cmd =
   let roots_arg =
     let doc =
-      "Directories to scan; a root named 'lib' also gets the library-only rules \
-       (print-stdout, assert-false, missing-mli)."
+      "Directories to check (default: lib bin test bench examples). A root named 'lib' \
+       also gets the library-only lint rules (print-stdout, assert-false, missing-mli); \
+       the cross-module passes read only roots named 'lib' or 'bin'."
     in
-    Arg.(non_empty & pos_all dir [] & info [] ~docv:"DIR" ~doc)
+    Arg.(value & pos_all string [] & info [] ~docv:"DIR" ~doc)
   in
   let run () roots json =
-    let diags = Analysis.Lint.scan_roots roots in
-    if json then
-      print_endline
-        (Check.Json.to_string
-           (Check.Json.Obj
-              [
-                ("tool", Check.Json.Str "dplint");
-                ("ok", Check.Json.Bool (diags = []));
-                ("diagnostics", Check.Json.List (List.map Check.Diagnostic.to_json diags));
-              ]))
+    let config = Analysis.default_config in
+    let o =
+      Analysis.check (if roots = [] then config else { config with Analysis.roots })
+    in
+    if json then print_endline (Check.Json.to_string (Analysis.to_json o))
     else begin
-      List.iter (fun d -> Format.printf "%a@." Check.Diagnostic.pp d) diags;
-      if diags = [] then
-        Printf.printf "lint-src: clean (%s)\n" (String.concat " " roots)
+      List.iter (fun d -> Format.printf "%a@." Check.Diagnostic.pp d) o.Analysis.diagnostics;
+      Printf.printf "check: %d files, %d findings\n" o.Analysis.files
+        (List.length o.Analysis.diagnostics)
     end;
-    if diags = [] then `Ok ()
+    if o.Analysis.diagnostics = [] then `Ok ()
     else begin
-      if not json then prerr_endline "dplint: lint violations found";
+      if not json then prerr_endline "dplint: findings";
       exit 1
     end
   in
   let term = Term.(ret (const run $ obs_term $ roots_arg $ json_arg)) in
   Cmd.v
-    (Cmd.info "lint-src"
+    (Cmd.info "check"
        ~doc:
-         "Scan OCaml sources for exactness-hostile patterns (Obj.magic, bare \
-          `try … with _ ->`, float-literal (in)equality, …); the full rule list is in \
-          DESIGN.md §4b.")
-    term
-
-(* ----------------------------------------------------------------- *)
-(* analyze                                                           *)
-(* ----------------------------------------------------------------- *)
-
-let analyze_cmd =
-  let roots_arg =
-    let doc = "Directories to scan (default: lib bin)." in
-    Arg.(value & pos_all string [] & info [] ~docv:"DIR" ~doc)
-  in
-  let core_arg =
-    let doc = "Override an exact-core directory for the float-taint pass (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "core" ] ~docv:"DIR" ~doc)
-  in
-  let serve_arg =
-    let doc = "Override a serve-path root for the determinism pass (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "serve-root" ] ~docv:"PATH" ~doc)
-  in
-  let clock_arg =
-    let doc = "Override a wall-clock-exempt directory (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "clock-exempt" ] ~docv:"DIR" ~doc)
-  in
-  let run () roots json core serve clock =
-    let dflt = Analysis.default_config in
-    let or_default custom dflt = if custom = [] then dflt else custom in
-    let cfg =
-      {
-        Analysis.roots = or_default roots dflt.Analysis.roots;
-        core_dirs = or_default core dflt.Analysis.core_dirs;
-        serve_roots = or_default serve dflt.Analysis.serve_roots;
-        clock_exempt = or_default clock dflt.Analysis.clock_exempt;
-      }
-    in
-    let o = Analysis.run cfg in
-    if json then
-      print_endline
-        (Check.Json.to_string
-           (Check.Json.Obj
-              [
-                ("tool", Check.Json.Str "dplint");
-                ("ok", Check.Json.Bool (o.Analysis.errors = 0));
-                ("report", Analysis.to_json o);
-              ]))
-    else begin
-      List.iter (fun d -> Format.printf "%a@." Check.Diagnostic.pp d) o.Analysis.diagnostics;
-      Printf.printf "analyze: %d files, %d errors, %d warnings\n" o.Analysis.files
-        o.Analysis.errors o.Analysis.warnings
-    end;
-    if o.Analysis.errors = 0 then `Ok ()
-    else begin
-      if not json then prerr_endline "dplint: analysis violations found";
-      exit 1
-    end
-  in
-  let term =
-    Term.(
-      ret
-        (const run $ obs_term $ roots_arg $ json_arg $ core_arg $ serve_arg $ clock_arg))
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Cross-module static analysis over the serving tree: domain-safety \
-          (unguarded top-level mutable state reachable from Domain.spawn), float \
-          taint of the exact ℚ core, and serve-path determinism (wall clocks, \
-          Random.self_init, Hashtbl iteration order), plus waiver hygiene. Exit \
-          code: 0 iff there is no error-severity diagnostic, 1 otherwise; warnings \
-          do not affect the exit code.")
+         "Check OCaml sources: each file is read and lexed once, the lint rules \
+          (Obj.magic, bare `try … with _ ->`, float-literal (in)equality, …) run over \
+          every root, and the cross-module passes — domain safety (unguarded top-level \
+          mutable state reachable from Domain.spawn), float taint of the exact ℚ core, \
+          serve-path determinism (wall clocks, Random.self_init, Hashtbl iteration \
+          order) and waiver hygiene — over the roots named lib or bin. The rule list \
+          is in DESIGN.md §4b and §4g. Exit code: 0 iff there is no finding, 1 \
+          otherwise.")
     term
 
 (* ----------------------------------------------------------------- *)
@@ -373,6 +248,6 @@ let main =
   let doc = "privacy-invariant static analyzer for the minimax-DP reproduction" in
   Cmd.group
     (Cmd.info "dplint" ~version:"1.0.0" ~doc)
-    [ check_mech_cmd; check_derivable_cmd; lint_src_cmd; analyze_cmd ]
+    [ check_cmd; check_mech_cmd; check_derivable_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -1,5 +1,6 @@
 (** Token-level OCaml lexer: the one OCaml source scanner in [lib/],
-    shared by the source lint ({!Lint}) and the cross-module analyzer.
+    behind every file [dplint check] reads: the source lint ({!Lint})
+    and the cross-module passes see the same tokens.
 
     Both need token kinds, positions, nesting depth, and the text of
     comments (where waivers and invariant notes live) without the
@@ -41,10 +42,10 @@ val tokenize : string -> token array
     comment or string simply ends at end of file. *)
 
 val read_file : string -> string
-(** Binary-exact file slurp (shared by the lint and the analyzer). *)
+(** Binary-exact file slurp. *)
 
 val source_files : string -> string list
 (** Every file under a directory, depth first with each directory's
     entries in sorted order, skipping [_]- and [.]-led entries ([_build],
     dotfiles). An unreadable directory contributes nothing. The one
-    directory walker of the lint and the analyzer. *)
+    directory walker of [dplint check]. *)

@@ -1,24 +1,17 @@
 (* Source lint; see lint.mli.
 
-   Every rule is a pattern over the code tokens of [Lexer.tokenize]:
-   comments are set aside (only [lint/assert-false] reads them) and a
-   string or character literal is one opaque token, so documentation
-   and message text never trip a rule. *)
+   Every rule is a pattern over the code tokens of a file's
+   [Modinfo.t]: comments are set aside (only [lint/assert-false] reads
+   them, through the file's waivers) and a string or character literal
+   is one opaque token, so documentation and message text never trip a
+   rule. *)
 
 module D = Check.Diagnostic
 
 type scope = Lib | Other
 
-(* A lexed file: the code tokens rules match on, and the comments. *)
-type source = { code : Lexer.token array; comments : Lexer.token list }
-
-let lex src =
-  let code, comments =
-    List.partition
-      (fun (t : Lexer.token) -> t.kind <> Lexer.Comment)
-      (Array.to_list (Lexer.tokenize src))
-  in
-  { code = Array.of_list code; comments }
+(* A lexed file: the code tokens rules match on, and its symbol table. *)
+type source = { code : Lexer.token array; info : Modinfo.t }
 
 let kind_at s i kind = i >= 0 && i < Array.length s.code && s.code.(i).kind = kind
 let is s i kind text = kind_at s i kind && s.code.(i).text = text
@@ -163,20 +156,19 @@ let unix_write s i =
     (qualified s i "Unix" [ "write"; "single_write"; "write_substring"; "single_write_substring" ])
 
 (* [assert false] crashes without a witness; every "impossible" solver
-   outcome has a typed escape ([Resilience.Solver_error.fail]). A
-   comment touching the same or an adjacent line that states the
-   invariant is the sanctioned form for a genuinely dead arm. *)
+   outcome has a typed escape ([Resilience.Solver_error.fail]). An
+   [invariant] waiver covering the line, which states why the arm is
+   dead, is the sanctioned form for a genuinely unreachable arm. *)
 let assert_false s i =
-  if is s i Ident "assert" && is s (i + 1) Ident "false" then begin
-    let l = s.code.(i).line in
-    if List.exists (fun (c : Lexer.token) -> c.line <= l + 1 && c.end_line >= l - 1) s.comments
-    then None
-    else
-      Some
-        "assert false crashes without a witness; raise a typed error (e.g. \
-         Resilience.Solver_error.fail) or cite the invariant that makes this arm \
-         unreachable in a sibling comment"
-  end
+  if
+    is s i Ident "assert"
+    && is s (i + 1) Ident "false"
+    && not (Modinfo.waived s.info ~tag:"invariant" ~line:s.code.(i).line)
+  then
+    Some
+      "assert false crashes without a witness; raise a typed error (e.g. \
+       Resilience.Solver_error.fail) or state the invariant that makes this arm \
+       unreachable in an `(* analysis: invariant — <why> *)` waiver"
   else None
 
 (* ------------------------------------------------------------------ *)
@@ -209,11 +201,15 @@ let rules =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* File and tree drivers                                               *)
+(* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let scan_source ~scope ~file src =
-  let s = lex src in
+let scan ~scope (info : Modinfo.t) =
+  let code =
+    List.filter (fun (t : Lexer.token) -> t.kind <> Lexer.Comment) (Array.to_list info.toks)
+  in
+  let s = { code = Array.of_list code; info } in
+  let file = info.path in
   let indices = List.init (Array.length s.code) Fun.id in
   List.concat_map
     (fun (rule, applies, hit) ->
@@ -224,25 +220,12 @@ let scan_source ~scope ~file src =
           (List.filter_map (fun i -> Option.map (finding i) (hit s i)) indices))
     rules
 
-let scan_root root =
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    [ D.error ~rule:"lint/missing-dir"
-        (D.Source_line { file = root; line = 0 })
-        "directory does not exist" ]
-  else begin
-    let scope = if Filename.basename root = "lib" then Lib else Other in
-    let mls = List.filter (fun f -> Filename.check_suffix f ".ml") (Lexer.source_files root) in
-    let missing_mli ml =
-      if scope = Lib && not (Sys.file_exists (ml ^ "i")) then
-        Some
-          (D.error ~rule:"lint/missing-mli"
-             (D.Source_line { file = ml; line = 1 })
-             "library module has no .mli: its invariants are unpublished and everything \
-              is exported")
-      else None
-    in
-    List.concat_map (fun ml -> scan_source ~scope ~file:ml (Lexer.read_file ml)) mls
-    @ List.filter_map missing_mli mls
-  end
+let missing_dir root =
+  D.error ~rule:"lint/missing-dir"
+    (D.Source_line { file = root; line = 0 })
+    "directory does not exist"
 
-let scan_roots roots = List.concat_map scan_root roots
+let missing_mli ml =
+  D.error ~rule:"lint/missing-mli"
+    (D.Source_line { file = ml; line = 1 })
+    "library module has no .mli: its invariants are unpublished and everything is exported"

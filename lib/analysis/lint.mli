@@ -1,8 +1,8 @@
-(** Source lint: the textual half of [dplint] ([dplint lint-src]).
+(** Source lint: the per-file rules of [dplint check] ({!Analysis.check}).
 
     Scans OCaml sources for patterns that undermine the repository's
     exactness guarantees. Every rule is a pattern over the code tokens
-    of {!Lexer.tokenize}, so comments, string literals (quoted
+    of a file's {!Modinfo.t}, so comments, string literals (quoted
     [{|…|}] ones included) and character literals never trip it. This
     is the one list of the rules:
 
@@ -31,25 +31,30 @@
       injected ["server.write"] fault for the whole tree;
     - [lint/assert-false] ({!Lib} scope) — [assert false], which
       crashes without a witness; a typed error
-      ([Resilience.Solver_error.fail]) carries one, and genuinely
-      unreachable arms are exempt when a comment touching the same or
-      an adjacent line cites the invariant;
-    - [lint/missing-mli] ({!Lib} scope, {!scan_roots} only) — a module
-      without an interface file, leaving its invariants unpublished.
+      ([Resilience.Solver_error.fail]) carries one, and a genuinely
+      unreachable arm is exempt when a well-formed
+      [(* analysis: invariant — <why> *)] waiver ({!Modinfo}) covers
+      its line: on the same line, or standalone on the line above;
+    - [lint/missing-mli] ({!Lib} scope, applied by the tree driver) —
+      a module without an interface file, leaving its invariants
+      unpublished.
 
-    Every finding is a {!Check.Diagnostic.t} with a [Source_line]
-    location; a rule reports a line at most once. *)
+    The tree driver also reports a root that is not a directory as
+    [lint/missing-dir]. Every finding is a {!Check.Diagnostic.t} with a
+    [Source_line] location; a rule reports a line at most once. *)
 
 type scope =
   | Lib  (** a root whose basename is ["lib"]: every rule *)
   | Other  (** any other root: no print-stdout, assert-false or missing-mli *)
 
-val scan_source : scope:scope -> file:string -> string -> Check.Diagnostic.t list
-(** Scan one file's contents (already read). [file] names the findings
-    and decides the per-file exemptions above. Findings come grouped by
-    rule, in the order listed above, each group in line order. *)
+val scan : scope:scope -> Modinfo.t -> Check.Diagnostic.t list
+(** Run the token rules over one lexed file. The file's path names the
+    findings and decides the per-file exemptions above. Findings come
+    grouped by rule, in the order listed above, each group in line
+    order. *)
 
-val scan_roots : string list -> Check.Diagnostic.t list
-(** Scan every [.ml] under each root (via {!Lexer.source_files}), with
-    the root's scope; a root that is not a directory yields one
-    [lint/missing-dir] error. *)
+val missing_mli : string -> Check.Diagnostic.t
+(** The [lint/missing-mli] finding for a [.ml] path. *)
+
+val missing_dir : string -> Check.Diagnostic.t
+(** The [lint/missing-dir] finding for a root. *)

@@ -205,18 +205,16 @@ let resolve g u file chain =
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let build ~roots =
-  let files = List.concat_map Lexer.source_files roots |> List.sort_uniq compare in
+let build ~dune_files infos =
+  let mls = List.sort_uniq compare (List.map (fun (i : Modinfo.t) -> i.path) infos) in
   let units =
-    List.filter (fun f -> Filename.basename f = "dune") files
-    |> List.map Filename.dirname
-    |> List.sort_uniq compare
-    |> List.concat_map (fun dir ->
-           units_of_dune (Filename.concat dir "dune")
-             (List.filter
-                (fun f -> Filename.dirname f = dir && Filename.check_suffix f ".ml")
-                files))
+    List.sort_uniq compare dune_files
+    |> List.concat_map (fun dune ->
+           let dir = Filename.dirname dune in
+           units_of_dune dune (List.filter (fun f -> Filename.dirname f = dir) mls))
   in
+  let by_path = Hashtbl.create 64 in
+  List.iter (fun (i : Modinfo.t) -> Hashtbl.replace by_path i.path i) infos;
   let g =
     {
       tbl = Hashtbl.create 64;
@@ -231,7 +229,7 @@ let build ~roots =
       List.iter
         (fun p ->
           Hashtbl.replace g.unit_of_path p u;
-          if not (Hashtbl.mem g.tbl p) then Hashtbl.replace g.tbl p (Modinfo.of_file p))
+          Hashtbl.replace g.tbl p (Hashtbl.find by_path p))
         u.ufiles)
     units;
   (* Edges, resolved once per file. *)

@@ -23,9 +23,10 @@
 
 type t
 
-val build : roots:string list -> t
-(** Scan every directory under [roots] (skipping [_build] and
-    dotfiles), parse each [dune] file, and lex every [.ml] file. *)
+val build : dune_files:string list -> Modinfo.t list -> t
+(** Parse each [dune] file for its units, over the [.ml] files beside
+    it among the already-lexed [infos]; a file outside every unit is
+    not in the graph. *)
 
 val paths : t -> string list
 (** All analyzed file paths, sorted. *)

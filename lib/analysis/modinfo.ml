@@ -31,7 +31,7 @@ type t = {
   float_sites : (string * int) list;
 }
 
-let valid_tags = [ "domain-local"; "float-ok"; "order-insensitive"; "clock-ok" ]
+let valid_tags = [ "domain-local"; "float-ok"; "order-insensitive"; "clock-ok"; "invariant" ]
 
 let module_name_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))

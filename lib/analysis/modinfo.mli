@@ -31,7 +31,8 @@
     A waiver is a comment of the form
     [(* analysis: <tag> — <why> *)] with
     [<tag>] one of [domain-local], [float-ok], [order-insensitive],
-    [clock-ok]. It covers its own line(s) and the next code line; a
+    [clock-ok] (read by the passes) or [invariant] (read by the lint's
+    [assert false] rule). It covers its own line(s) and the next code line; a
     standalone waiver placed directly above a [let]/[type]/[module]
     item covers that whole item (so one waiver on a type declaration
     covers every mutable field it declares, and one above a binding

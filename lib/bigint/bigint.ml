@@ -616,8 +616,6 @@ let isqrt x =
     go (shift_left one ((num_bits x / 2) + 1))
   end
 
-let is_square x = (not (is_negative x)) && equal x (mul (isqrt x) (isqrt x))
-
 let sqrt_exact x =
   if is_negative x then None
   else

@@ -134,9 +134,6 @@ val isqrt : t -> t
 (** Integer square root: the largest [r] with [r*r <= x].
     @raise Invalid_argument on negative input. *)
 
-val is_square : t -> bool
-(** Is the value a perfect square? *)
-
 val sqrt_exact : t -> t option
 (** [Some r] when [x = r*r] exactly; [None] otherwise. *)
 

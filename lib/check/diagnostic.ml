@@ -1,7 +1,5 @@
 (* Structured analyzer verdicts; see diagnostic.mli. *)
 
-type severity = Error | Warning
-
 type location =
   | Matrix_cell of { row : int; col : int }
   | Matrix_row of { row : int }
@@ -12,17 +10,12 @@ type location =
 
 type t = {
   rule : string;
-  severity : severity;
   location : location;
   message : string;
   witness : (string * string) list;
 }
 
-let make severity ?(witness = []) ~rule location message =
-  { rule; severity; location; message; witness }
-
-let error ?witness ~rule location message = make Error ?witness ~rule location message
-let warning ?witness ~rule location message = make Warning ?witness ~rule location message
+let error ?(witness = []) ~rule location message = { rule; location; message; witness }
 
 let rats kvs = List.map (fun (k, v) -> (k, Rat.to_string v)) kvs
 
@@ -43,7 +36,6 @@ let to_json d =
   Json.Obj
     [
       ("rule", Json.Str d.rule);
-      ("severity", Json.Str (match d.severity with Error -> "error" | Warning -> "warning"));
       ("location", location_to_json d.location);
       ("message", Json.Str d.message);
       ("witness", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) d.witness));
@@ -58,9 +50,7 @@ let pp_location fmt = function
   | Whole -> Format.pp_print_string fmt "whole"
 
 let pp fmt d =
-  Format.fprintf fmt "%s %s @@ %a: %s"
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    d.rule pp_location d.location d.message;
+  Format.fprintf fmt "%s @@ %a: %s" d.rule pp_location d.location d.message;
   match d.witness with
   | [] -> ()
   | w ->

@@ -1,12 +1,12 @@
 (** Structured analyzer verdicts.
 
-    Every violation found by {!Invariants} or the source lint
-    ([Analysis.Lint]) is a diagnostic carrying a machine-readable
+    Every violation found by {!Invariants} or the source checker
+    ([Analysis.check]) is a diagnostic carrying a machine-readable
     location and an exact-rational witness: enough data to re-derive
-    the violated inequality by hand without re-running the analyzer. The JSON encoding is shared with
+    the violated inequality by hand without re-running the analyzer.
+    There is no severity level: every diagnostic is a finding, and a
+    tool that reports one fails. The JSON encoding is shared with
     [lib/report]'s experiment harness. *)
-
-type severity = Error | Warning
 
 type location =
   | Matrix_cell of { row : int; col : int }
@@ -22,7 +22,6 @@ type location =
 
 type t = {
   rule : string;  (** e.g. ["row-stochastic"], ["alpha-dp"], ["lint/obj-magic"] *)
-  severity : severity;
   location : location;
   message : string;
   witness : (string * string) list;
@@ -31,7 +30,6 @@ type t = {
 }
 
 val error : ?witness:(string * string) list -> rule:string -> location -> string -> t
-val warning : ?witness:(string * string) list -> rule:string -> location -> string -> t
 
 val rats : (string * Rat.t) list -> (string * string) list
 (** Witness builder: exact rationals rendered as ["p/q"]. *)

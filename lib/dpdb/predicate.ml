@@ -19,7 +19,6 @@ type t =
 
 let ( &&& ) a b = And (a, b)
 let ( ||| ) a b = Or (a, b)
-let not_ a = Not a
 
 let rec eval schema (row : Value.t array) = function
   | True -> true

@@ -23,8 +23,6 @@ val ( &&& ) : t -> t -> t
 val ( ||| ) : t -> t -> t
 (** Disjunction combinator. *)
 
-val not_ : t -> t
-
 val eval : Schema.t -> Value.t array -> t -> bool
 (** @raise Invalid_argument when the predicate references an unknown
     column of the schema. *)

@@ -38,7 +38,6 @@ let create ?domains ?(cache_capacity = 64) ?budget ?tier () =
 
 let domains t = Pool.domains t.pool
 let cache_stats t = Cache.stats t.cache
-let cached_keys t = Cache.keys t.cache
 
 type response = {
   request : Request.t;

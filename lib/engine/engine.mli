@@ -66,7 +66,6 @@ val create :
 
 val domains : t -> int
 val cache_stats : t -> Cache.stats
-val cached_keys : t -> string list
 
 (** One answered request. *)
 type response = {

@@ -43,12 +43,10 @@ module Make (F : Field.S) = struct
   let get (m : t) i j = m.(i).(j)
   let row (m : t) i : vec = Array.copy m.(i)
   let column (m : t) j : vec = Array.init (rows m) (fun i -> m.(i).(j))
-  let to_arrays (m : t) = copy m
 
   let transpose (m : t) : t = init (cols m) (rows m) (fun i j -> m.(j).(i))
 
   let map f (m : t) : t = Array.map (Array.map f) m
-  let mapij f (m : t) : t = Array.mapi (fun i r -> Array.mapi (fun j x -> f i j x) r) m
 
   (* ---------------------------------------------------------------- *)
   (* Algebra                                                          *)

@@ -27,10 +27,8 @@ module Make (F : Field.S) : sig
   val get : t -> int -> int -> F.t
   val row : t -> int -> vec
   val column : t -> int -> vec
-  val to_arrays : t -> F.t array array
   val transpose : t -> t
   val map : (F.t -> F.t) -> t -> t
-  val mapij : (int -> int -> F.t -> F.t) -> t -> t
 
   (** {1 Algebra} *)
 

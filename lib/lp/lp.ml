@@ -86,7 +86,6 @@ let fresh_var ?(name = "") ?(lb = Some Rat.zero) p =
   p.lower <- lb :: p.lower;
   v
 
-let n_vars p = p.nvars
 let n_constraints p = List.length p.constraints
 
 let constraint_name p i =
@@ -94,10 +93,6 @@ let constraint_name p i =
   if i < 0 || i >= Array.length cstrs then invalid_arg "Lp.constraint_name";
   let { cname; _ } = cstrs.(i) in
   if cname = "" then Printf.sprintf "c%d" i else cname
-
-let var_name p v =
-  let names = Array.of_list (List.rev p.var_names) in
-  names.(v)
 
 let add_constraint ?(name = "") p expr rel rhs =
   p.constraints <- { cexpr = Expr.normalize expr; rel; rhs; cname = name } :: p.constraints
@@ -374,9 +369,3 @@ let check_solution p (sol : solution) =
   in
   let obj_ok = Rat.equal (Expr.eval sol.values p.objective) sol.objective in
   bounds_ok && List.for_all cstr_ok p.constraints && obj_ok
-
-let pp_outcome fmt = function
-  | Optimal { objective; _ } -> Format.fprintf fmt "Optimal(%a)" Rat.pp objective
-  | Failed Solver_error.Infeasible -> Format.fprintf fmt "Infeasible"
-  | Failed Solver_error.Unbounded -> Format.fprintf fmt "Unbounded"
-  | Failed (Solver_error.Exhausted _ as e) -> Solver_error.pp fmt e

@@ -62,9 +62,7 @@ val fresh_var : ?name:string -> ?lb:Rat.t option -> problem -> var
 (** New decision variable. [lb] defaults to [Some Rat.zero]
     (non-negative); [None] makes the variable free. *)
 
-val n_vars : problem -> int
 val n_constraints : problem -> int
-val var_name : problem -> var -> string
 
 val constraint_name : problem -> int -> string
 (** Name of the [i]-th constraint in addition order; anonymous
@@ -185,4 +183,3 @@ val check_solution : problem -> solution -> bool
 (** Independent certificate: every constraint, bound, and the claimed
     objective re-evaluated against the solution values. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit

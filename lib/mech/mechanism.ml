@@ -134,14 +134,3 @@ let minimax_loss t ~loss ~side_info =
       rest
 
 let pp fmt t = Qm.pp fmt t.matrix
-
-let pp_decimal ?(places = 4) fmt t =
-  Format.fprintf fmt "@[<v>";
-  Array.iteri
-    (fun i row ->
-      if i > 0 then Format.fprintf fmt "@,";
-      Format.fprintf fmt "[ %s ]"
-        (String.concat "  "
-           (Array.to_list (Array.map (Rat.to_decimal_string ~places) row))))
-    t.matrix;
-  Format.fprintf fmt "@]"

@@ -85,4 +85,3 @@ val minimax_loss : t -> loss:(int -> int -> Rat.t) -> side_info:int list -> Rat.
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
-val pp_decimal : ?places:int -> Format.formatter -> t -> unit

@@ -488,11 +488,6 @@ let with_trace ?(parent = 0) tr f =
         s.open_rev <- prev_open)
       f
 
-let current_trace () =
-  match !ambient with
-  | None -> None
-  | Some r -> (shard_of r).trace
-
 let counter_cell s name =
   match Hashtbl.find_opt s.s_counters name with
   | Some c -> c

@@ -206,9 +206,6 @@ val with_trace : ?parent:int -> Trace.t -> (unit -> 'a) -> 'a
     {!Trace.root} to hang their spans under the request's admission
     span. No-op when disabled. *)
 
-val current_trace : unit -> Trace.t option
-(** The trace context current on this domain, if any. *)
-
 val incr : ?by:int -> string -> unit
 (** Bump a named counter (created at zero on first use). Resilience
     events flow through here too: ["resilience.degradations"] counts

@@ -13,12 +13,6 @@ let make ?(clock = Obs.Clock.monotonic) ?deadline_ms ?max_pivots ?max_bits () =
   in
   { clock; deadline_ns; max_pivots; max_bits }
 
-let unlimited =
-  { clock = Obs.Clock.monotonic; deadline_ns = None; max_pivots = None; max_bits = None }
-
-let is_unlimited b =
-  b.deadline_ns = None && b.max_pivots = None && b.max_bits = None
-
 let check b ~pivots ~peak_bits =
   match b.max_pivots with
   | Some cap when pivots >= cap -> Some Solver_error.Pivots

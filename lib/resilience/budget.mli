@@ -28,11 +28,6 @@ val make :
 (** [make ()] is unlimited; [deadline_ms] is relative to the clock's
     reading now (default clock: {!Obs.Clock.monotonic}). *)
 
-val unlimited : t
-(** No deadline, no pivot cap, no bit ceiling. *)
-
-val is_unlimited : t -> bool
-
 val check : t -> pivots:int -> peak_bits:int -> Solver_error.budget_kind option
 (** [check b ~pivots ~peak_bits] returns the first exhausted dimension,
     testing deterministic dimensions first: [Pivots] when

@@ -71,7 +71,4 @@ let trip site =
   | None -> ()
   | Some (_, n) -> raise (Injected { site; hit = n })
 
-let hit_count p site =
-  Mutex.protect lock (fun () -> try Hashtbl.find p.counts site with Not_found -> 0)
-
 let trips p = Mutex.protect lock (fun () -> p.trips)

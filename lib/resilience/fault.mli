@@ -67,8 +67,5 @@ val trip : string -> unit
 (** [trip site] is [hit site] for sites with no budget machinery:
     any firing trigger raises {!Injected}. *)
 
-val hit_count : plan -> string -> int
-(** Hits recorded so far at [site] (0 if never hit). *)
-
 val trips : plan -> int
 (** Total triggers fired so far under this plan. *)

@@ -90,7 +90,6 @@ let epoch_stream ~seed ~group ~epoch =
   !rng
 
 let seed t = t.sd
-let checkpoint_path t = t.ckpt
 let groups t = List.map fst t.groups
 
 let live t =

@@ -113,7 +113,6 @@ val create : ?seed:int -> ?checkpoint:string -> unit -> (t, string) result
     typed refusal to start, never a silent reset. *)
 
 val seed : t -> int
-val checkpoint_path : t -> string option
 
 val live : t -> int * int
 (** [(groups tracked, active subscriptions)] — the live gauges behind

@@ -1,8 +1,8 @@
-(* Golden tests for lib/analysis: the three passes over the fixture
-   mini-tree under fixtures/analysis/, waiver hygiene, and the real
-   tree analyzing clean. Diagnostics are compared byte-for-byte against
-   their rendered form so any drift in rules, messages, witnesses or
-   ordering shows up as a diff. *)
+(* Golden tests for lib/analysis: `dplint check` (the lint rules, the
+   three passes and waiver hygiene) over the fixture mini-tree under
+   fixtures/analysis/, and the real tree checking clean. Diagnostics
+   are compared byte-for-byte against their rendered form so any drift
+   in rules, messages, witnesses or ordering shows up as a diff. *)
 
 module A = Analysis
 module D = Check.Diagnostic
@@ -27,41 +27,55 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-(* The full expected output of [raw cfg], sorted by (file, line, rule).
-   Five files, eleven errors: two float literals and one operator in
-   the exact closure, a wall clock + self_init + hash-order trio on
+(* The full expected output of [check cfg], sorted by (file, line,
+   rule). Five files, seventeen findings. The lint rules, with the
+   library scope of a root named lib: five modules without an .mli and
+   one print to stdout. The passes: two float literals and one operator
+   in the exact closure, a wall clock + self_init + hash-order trio on
    the serve path, three unguarded accesses to a spawn-reachable ref
    (two of them under waivers that do not count), and the two waiver
    hygiene findings themselves. *)
 let golden =
   [
-    "error analysis/float-taint @ fixtures/analysis/lib/exact/exact.ml:3: \
+    "lint/missing-mli @ fixtures/analysis/lib/exact/exact.ml:1: library module \
+     has no .mli: its invariants are unpublished and everything is \
+     exported";
+    "analysis/float-taint @ fixtures/analysis/lib/exact/exact.ml:3: \
      `0.5` inside the dependency closure of the exact core: a float here can \
      leak into \xe2\x84\x9a-exact solvers; use Rat, or add an `(* analysis: \
      float-ok \xe2\x80\x94 <why> *)` waiver at a proven conversion boundary \
      [symbol=0.5; taint_chain=fixtures/analysis/lib/exact/exact.ml]";
-    "error analysis/float-taint @ fixtures/analysis/lib/exact/exact.ml:4: \
+    "analysis/float-taint @ fixtures/analysis/lib/exact/exact.ml:4: \
      `*.` inside the dependency closure of the exact core: a float here can \
      leak into \xe2\x84\x9a-exact solvers; use Rat, or add an `(* analysis: \
      float-ok \xe2\x80\x94 <why> *)` waiver at a proven conversion boundary \
      [symbol=*.; taint_chain=fixtures/analysis/lib/exact/exact.ml]";
-    "error analysis/nondeterminism @ fixtures/analysis/lib/srv/srv.ml:4: \
+    "lint/missing-mli @ fixtures/analysis/lib/srv/srv.ml:1: library module \
+     has no .mli: its invariants are unpublished and everything is \
+     exported";
+    "analysis/nondeterminism @ fixtures/analysis/lib/srv/srv.ml:4: \
      `Unix.gettimeofday` reads the wall clock on the serve path; route \
      timing through lib/obs's injectable Obs.Clock so tests stay \
      byte-deterministic, or add an `(* analysis: clock-ok \xe2\x80\x94 <why> \
      *)` waiver [symbol=Unix.gettimeofday; \
      serve_chain=fixtures/analysis/lib/srv/srv.ml]";
-    "error analysis/nondeterminism @ fixtures/analysis/lib/srv/srv.ml:9: \
+    "analysis/nondeterminism @ fixtures/analysis/lib/srv/srv.ml:9: \
      Random.self_init on the serve path destroys seeded determinism and \
      cannot be waived; thread a Prob.Rng stream or an Engine.Seeder split \
      instead [symbol=Random.self_init; \
      serve_chain=fixtures/analysis/lib/srv/srv.ml]";
-    "error analysis/hash-order @ fixtures/analysis/lib/srv/srv.ml:13: \
+    "analysis/hash-order @ fixtures/analysis/lib/srv/srv.ml:13: \
      `Hashtbl.iter` iterates in Hashtbl.hash order on the serve path; sort \
      the results (then waive with `(* analysis: order-insensitive \
      \xe2\x80\x94 <why> *)`) or iterate a sorted key list [symbol=Hashtbl.iter; \
      serve_chain=fixtures/analysis/lib/srv/srv.ml]";
-    "error analysis/domain-unsafe @ fixtures/analysis/lib/state/state.ml:10: \
+    "lint/print-stdout @ fixtures/analysis/lib/srv/srv.ml:13: \
+     print_endline writes to stdout from library code; route output \
+     through a lib/report sink or a lib/obs recorder instead";
+    "lint/missing-mli @ fixtures/analysis/lib/state/state.ml:1: library module \
+     has no .mli: its invariants are unpublished and everything is \
+     exported";
+    "analysis/domain-unsafe @ fixtures/analysis/lib/state/state.ml:10: \
      top-level mutable ref `counter` is used outside any \
      Mutex.protect/lock region in a module reachable from Domain.spawn; \
      guard it, make it Atomic, or add an `(* analysis: domain-local \
@@ -69,11 +83,11 @@ let golden =
      declared=fixtures/analysis/lib/state/state.ml:5; \
      spawn_chain=fixtures/analysis/lib/worker/worker.ml -> \
      fixtures/analysis/lib/state/state.ml]";
-    "error analysis/bare-waiver @ fixtures/analysis/lib/state/state.ml:15: \
+    "analysis/bare-waiver @ fixtures/analysis/lib/state/state.ml:15: \
      bare `analysis: domain-local` waiver: state the reason the finding is \
      safe (e.g. which domain owns the state) after an em dash \
      [symbol=waiver]";
-    "error analysis/domain-unsafe @ fixtures/analysis/lib/state/state.ml:16: \
+    "analysis/domain-unsafe @ fixtures/analysis/lib/state/state.ml:16: \
      top-level mutable ref `counter` is used outside any \
      Mutex.protect/lock region in a module reachable from Domain.spawn; \
      guard it, make it Atomic, or add an `(* analysis: domain-local \
@@ -81,11 +95,11 @@ let golden =
      declared=fixtures/analysis/lib/state/state.ml:5; \
      spawn_chain=fixtures/analysis/lib/worker/worker.ml -> \
      fixtures/analysis/lib/state/state.ml]";
-    "error analysis/unknown-waiver @ \
+    "analysis/unknown-waiver @ \
      fixtures/analysis/lib/state/state.ml:18: unknown analysis waiver tag \
      \"sometag\"; valid tags: domain-local, float-ok, order-insensitive, \
-     clock-ok [symbol=waiver]";
-    "error analysis/domain-unsafe @ fixtures/analysis/lib/state/state.ml:19: \
+     clock-ok, invariant [symbol=waiver]";
+    "analysis/domain-unsafe @ fixtures/analysis/lib/state/state.ml:19: \
      top-level mutable ref `counter` is used outside any \
      Mutex.protect/lock region in a module reachable from Domain.spawn; \
      guard it, make it Atomic, or add an `(* analysis: domain-local \
@@ -93,17 +107,23 @@ let golden =
      declared=fixtures/analysis/lib/state/state.ml:5; \
      spawn_chain=fixtures/analysis/lib/worker/worker.ml -> \
      fixtures/analysis/lib/state/state.ml]";
-    "error analysis/float-taint @ fixtures/analysis/lib/util/util.ml:5: \
+    "lint/missing-mli @ fixtures/analysis/lib/util/util.ml:1: library module \
+     has no .mli: its invariants are unpublished and everything is \
+     exported";
+    "analysis/float-taint @ fixtures/analysis/lib/util/util.ml:5: \
      `1.5` inside the dependency closure of the exact core: a float here \
      can leak into \xe2\x84\x9a-exact solvers; use Rat, or add an `(* \
      analysis: float-ok \xe2\x80\x94 <why> *)` waiver at a proven conversion \
      boundary [symbol=1.5; \
      taint_chain=fixtures/analysis/lib/exact/exact.ml -> \
      fixtures/analysis/lib/util/util.ml]";
+    "lint/missing-mli @ fixtures/analysis/lib/worker/worker.ml:1: library module \
+     has no .mli: its invariants are unpublished and everything is \
+     exported";
   ]
 
 let test_golden_tree () =
-  let rendered = List.map render ((A.run cfg).A.diagnostics) in
+  let rendered = List.map render ((A.check cfg).A.diagnostics) in
   Alcotest.(check int) "finding count" (List.length golden)
     (List.length rendered);
   List.iteri
@@ -112,10 +132,15 @@ let test_golden_tree () =
     (List.combine golden rendered)
 
 (* Guarded, correctly waived and clock/order-waived sites must be
-   silent: byte-identical output depends on the negatives as much as
-   the positives. *)
+   silent in the passes' findings: byte-identical output depends on the
+   negatives as much as the positives. *)
 let test_negatives () =
-  let rendered = List.map render ((A.run cfg).A.diagnostics) in
+  let rendered =
+    List.filter_map
+      (fun (d : D.t) ->
+        if String.starts_with ~prefix:"analysis/" d.rule then Some (render d) else None)
+      (A.check cfg).A.diagnostics
+  in
   let silent_locs =
     [
       "state.ml:8:" (* bump: inside Mutex.protect *);
@@ -138,10 +163,9 @@ let test_negatives () =
     silent_locs
 
 let test_outcome_counts () =
-  let o = A.run cfg in
+  let o = A.check cfg in
   Alcotest.(check int) "files" 5 o.A.files;
-  Alcotest.(check int) "errors" 11 o.A.errors;
-  Alcotest.(check int) "warnings" 0 o.A.warnings
+  Alcotest.(check int) "findings" 17 (List.length o.A.diagnostics)
 
 (* Lexer spot checks: the classifications the passes lean on. *)
 let test_lexer () =
@@ -186,10 +210,10 @@ let test_lexer () =
    Analysis.default_config.serve_roots turns this red — the
    determinism pass can never silently lose a subsystem. The build
    context keeps the repo's sources next to the test binary, so the
-   graph here is the same one `dplint --analyze` sees. *)
+   graph here is the same one `dplint check` sees. *)
 let test_serve_roots_cover_dpserved () =
   let anchor p = "../" ^ p in
-  let g = A.Modgraph.build ~roots:[ "../lib"; "../bin" ] in
+  let g = A.graph [ "../lib"; "../bin" ] in
   Alcotest.(check bool) "lib/session is a serve root" true
     (List.mem "lib/session" A.default_config.serve_roots);
   let lib_roots =
@@ -220,14 +244,14 @@ let test_serve_roots_cover_dpserved () =
           (String.concat " -> " chain))
     daemon
 
-(* The default configuration, anchored at the repository's lib/ and
-   bin/ next to the test directory. *)
+(* The default configuration over the repository's lib/ and bin/, next
+   to the test directory. *)
 let anchor = List.map (fun p -> "../" ^ p)
 
 let tree_cfg =
   let c = A.default_config in
   {
-    A.roots = anchor c.roots;
+    A.roots = anchor [ "lib"; "bin" ];
     core_dirs = anchor c.core_dirs;
     serve_roots = anchor c.serve_roots;
     clock_exempt = anchor c.clock_exempt;
@@ -247,26 +271,58 @@ let test_exact_lp_core_float_free () =
   in
   (* Vacuity guard: the scan must actually reach the LP core. *)
   Alcotest.(check bool) "lib/lp/lp.ml scanned" true
-    (List.mem "../lib/lp/lp.ml" (A.Modgraph.paths (A.Modgraph.build ~roots:tree_cfg.roots)));
+    (List.mem "../lib/lp/lp.ml" (A.Modgraph.paths (A.graph tree_cfg.roots)));
   let tainted =
     List.filter
       (fun (d : D.t) -> d.rule = "analysis/float-taint" && in_lp_core d)
-      (A.run tree_cfg).A.diagnostics
+      (A.check tree_cfg).A.diagnostics
   in
   List.iter (fun d -> Format.eprintf "%a@." D.pp d) tainted;
   Alcotest.(check int) "float-taint findings under lib/linalg and lib/lp" 0
     (List.length tainted)
 
-(* There is no baseline of accepted findings: the analyzer over the
-   whole of lib/ and bin/ reports no error at all, so `dune build
-   @analyze` fails on the first one that appears. *)
+(* There is no baseline of accepted findings: `dplint check` over the
+   whole of lib/ and bin/ — the lint rules with lib/'s library scope,
+   and the passes — reports nothing, so `dune build @lint` fails on the
+   first finding that appears. *)
 let test_tree_is_clean () =
-  let o = A.run tree_cfg in
-  List.iter
-    (fun (d : D.t) -> if d.severity = D.Error then Format.eprintf "%a@." D.pp d)
-    o.A.diagnostics;
+  let o = A.check tree_cfg in
+  List.iter (fun d -> Format.eprintf "%a@." D.pp d) o.A.diagnostics;
   Alcotest.(check bool) "files scanned" true (o.A.files > 50);
-  Alcotest.(check int) "errors over lib/ and bin/" 0 o.A.errors
+  Alcotest.(check int) "findings over lib/ and bin/" 0 (List.length o.A.diagnostics)
+
+(* One entry point, one schema: a scratch tree holding one lint finding
+   and one pass finding comes back as one list sorted by location, not
+   as the lint's findings followed by the passes'. *)
+let test_one_sorted_list () =
+  let root = Filename.temp_dir "dplint-check" "" in
+  let write rel text =
+    let path = Filename.concat root rel in
+    let dir = Filename.dirname path in
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
+  Sys.mkdir (Filename.concat root "lib") 0o755;
+  write "lib/a/dune" "(library (name a))\n";
+  write "lib/a/a.mli" "val x : int\n";
+  write "lib/a/a.ml" "(* analysis: domain-local *)\nlet x = Obj.magic 1\n";
+  let lib = Filename.concat root "lib" in
+  let o = A.check { tree_cfg with A.roots = [ lib ] } in
+  let a = Filename.concat lib "a/a.ml" in
+  Alcotest.(check (list (pair string (pair string int))))
+    "pass finding, then lint finding"
+    [ ("analysis/bare-waiver", (a, 1)); ("lint/obj-magic", (a, 2)) ]
+    (List.map
+       (fun (d : D.t) ->
+         match d.location with
+         | D.Source_line { file; line } -> (d.rule, (file, line))
+         | _ -> (d.rule, ("", 0)))
+       o.A.diagnostics);
+  let head = "{\"tool\":\"dplint\",\"ok\":false,\"files\":1,\"diagnostics\":[" in
+  Alcotest.(check string) "one schema" head
+    (String.sub (Check.Json.to_string (A.to_json o)) 0 (String.length head));
+  List.iter Sys.remove [ a; Filename.concat lib "a/a.mli"; Filename.concat lib "a/dune" ];
+  List.iter Sys.rmdir [ Filename.concat lib "a"; lib; root ]
 
 (* The test oracle (exact and float elimination, the tableau simplex,
    the float mirrors) stays test-only: no dune stanza under lib/ or bin/
@@ -319,6 +375,11 @@ let () =
           Alcotest.test_case "no lib/ or bin/ stanza links lp_oracle" `Quick
             test_oracle_isolated;
           Alcotest.test_case "lib/ and bin/ analyze clean" `Quick test_tree_is_clean;
+        ] );
+      ( "check",
+        [
+          Alcotest.test_case "lint and pass findings in one sorted list" `Quick
+            test_one_sorted_list;
         ] );
       ("lexer", [ Alcotest.test_case "classification" `Quick test_lexer ]);
     ]

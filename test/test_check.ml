@@ -1,4 +1,4 @@
-(* Tests for the dplint analyzer (lib/check): positive certificates for
+(* Tests for the domain analyzer (lib/check): positive certificates for
    the paper's matrices, exact witnesses for hand-crafted violations,
    and the source-lint scanner's (Analysis.Lint) pattern discrimination. *)
 
@@ -201,7 +201,8 @@ let test_json_escape () =
 (* ------------------------------------------------------------------ *)
 
 let rules ds = List.map (fun (d : D.t) -> d.rule) ds
-let scan src = L.scan_source ~scope:L.Other ~file:"t.ml" src
+let scan_source ~scope ~file src = L.scan ~scope (Analysis.Modinfo.of_source ~path:file src)
+let scan src = scan_source ~scope:L.Other ~file:"t.ml" src
 
 let test_lint_catch_all () =
   let findings = scan "let f x = try g x with _ -> 0\n" in
@@ -263,7 +264,7 @@ let test_lint_float_eq () =
     (flagged "let s = {|x = 0.5|}\n")
 
 let test_lint_print_stdout () =
-  let flagged ?(scope = L.Lib) s = rules (L.scan_source ~scope ~file:"t.ml" s) in
+  let flagged ?(scope = L.Lib) s = rules (scan_source ~scope ~file:"t.ml" s) in
   Alcotest.(check (list string)) "print_endline flagged" [ "lint/print-stdout" ]
     (flagged "let f () = print_endline x\n");
   Alcotest.(check (list string)) "Printf.printf flagged" [ "lint/print-stdout" ]
@@ -280,33 +281,48 @@ let test_lint_print_stdout () =
     (flagged "(* print_endline would be rude *) let x = 1\n")
 (* The report/obs tree-level exemption is witnessed by
    [test_lint_own_tree_clean]: lib/report prints through its sinks and
-   scan_roots bans stdout everywhere else under lib/. *)
+   the checker bans stdout everywhere else under lib/. *)
 
 let test_lint_assert_false () =
-  let flagged ?(scope = L.Lib) s = rules (L.scan_source ~scope ~file:"t.ml" s) in
+  let flagged ?(scope = L.Lib) s = rules (scan_source ~scope ~file:"t.ml" s) in
+  let arm = "let f = function Some x -> x | None -> assert false" in
   Alcotest.(check (list string)) "bare assert false flagged" [ "lint/assert-false" ]
-    (flagged "let f = function Some x -> x | None -> assert false\n");
-  (* a sibling comment citing the invariant exempts the arm *)
-  Alcotest.(check (list string)) "comment on same line exempt" []
+    (flagged (arm ^ "\n"));
+  (* only an invariant waiver exempts the arm; a plain comment does not *)
+  Alcotest.(check (list string)) "plain comment does not exempt" [ "lint/assert-false" ]
+    (flagged (arm ^ " (* caller checked *)\n"));
+  Alcotest.(check (list string)) "invariant waiver on same line exempt" []
+    (flagged (arm ^ " (* analysis: invariant \xe2\x80\x94 the caller checked Some *)\n"));
+  Alcotest.(check (list string)) "invariant waiver on previous line exempt" []
     (flagged
-       "let f = function Some x -> x | None -> assert false (* caller checked *)\n");
-  Alcotest.(check (list string)) "comment on previous line exempt" []
+       "let f = function\n  | Some x -> x\n\
+       \  (* analysis: invariant \xe2\x80\x94 g never returns None *)\n  | None -> assert false\n");
+  Alcotest.(check (list string)) "multi-line invariant waiver ending on previous line exempt" []
     (flagged
-       "let f = function\n  | Some x -> x\n  (* unreachable: g never returns None *)\n  | None -> assert false\n");
-  Alcotest.(check (list string)) "multi-line comment ending on previous line exempt" []
-    (flagged
-       "let f = function\n  | Some x -> x\n  (* unreachable:\n     g never returns None *)\n  | None -> assert false\n");
+       "let f = function\n  | Some x -> x\n\
+       \  (* analysis: invariant \xe2\x80\x94\n     g never returns None *)\n  | None -> assert false\n");
   Alcotest.(check (list string)) "comment two lines away does not exempt" [ "lint/assert-false" ]
     (flagged "(* far *)\n\nlet f = function Some x -> x | None -> assert false\n");
+  (* a bare invariant waiver suppresses nothing and is itself a finding *)
+  let bare =
+    "let f = function\n  | Some x -> x\n  (* analysis: invariant *)\n  | None -> assert false\n"
+  in
+  Alcotest.(check (list string)) "bare invariant waiver does not exempt" [ "lint/assert-false" ]
+    (flagged bare);
+  Alcotest.(check (list (pair string int))) "bare invariant waiver is reported"
+    [ ("analysis/bare-waiver", 3) ]
+    (List.map
+       (fun (suffix, _, line) -> ("analysis/" ^ suffix, line))
+       (Analysis.Modinfo.of_source ~path:"t.ml" bare).malformed_waivers);
   (* assert with a real condition is fine, and the rule is off outside lib roots *)
   Alcotest.(check (list string)) "assert cond not flagged" []
     (flagged "let f x = assert (x > 0); x\n");
   Alcotest.(check (list string)) "off outside lib" []
-    (flagged ~scope:L.Other "let f = function Some x -> x | None -> assert false\n")
+    (flagged ~scope:L.Other (arm ^ "\n"))
 
 let test_lint_unaudited () =
   let src = "let m = Mech.Mechanism.unsafe_of_audited x\n" in
-  let flagged file = rules (L.scan_source ~scope:L.Other ~file src) in
+  let flagged file = rules (scan_source ~scope:L.Other ~file src) in
   Alcotest.(check (list string)) "flagged elsewhere" [ "lint/unaudited-mechanism" ]
     (flagged "lib/store/store.ml");
   Alcotest.(check (list string)) "the audited caller is exempt" []
@@ -335,19 +351,24 @@ let test_lint_comments_and_literals () =
     List.map
       (fun (d : D.t) ->
         match d.location with D.Source_line { line; _ } -> (d.rule, line) | _ -> (d.rule, 0))
-      (L.scan_source ~scope:L.Lib ~file:"t.ml" src)
+      (scan_source ~scope:L.Lib ~file:"t.ml" src)
   in
   Alcotest.(check (list (pair string int))) "one real finding" [ ("lint/float-eq", 7) ] found
 
 let test_lint_own_tree_clean () =
-  (* The analyzer must accept the repository it guards (the @lint
-     alias enforces this at build time; keep a test-level witness). *)
-  let root = ".." in
-  if Sys.file_exists (Filename.concat root "lib") then begin
-    let diags = L.scan_roots [ Filename.concat root "lib" ] in
-    List.iter (fun d -> Format.eprintf "%a@." D.pp d) diags;
-    Alcotest.(check int) "lib clean" 0 (List.length diags)
-  end
+  (* The lint rules must accept the repository they guard, through the
+     one entry point that runs them (`dplint check`, which the @lint
+     alias enforces at build time). test_analysis's "analyze clean"
+     case pins the whole verdict; this one keeps the lint rules'
+     witness next to their unit tests. *)
+  let roots = [ "../lib"; "../bin" ] in
+  let o = Analysis.check { Analysis.default_config with roots } in
+  let lint =
+    List.filter (fun (d : D.t) -> String.starts_with ~prefix:"lint/" d.rule) o.diagnostics
+  in
+  List.iter (fun d -> Format.eprintf "%a@." D.pp d) lint;
+  Alcotest.(check bool) "files scanned" true (o.files > 50);
+  Alcotest.(check int) "lint findings over lib/ and bin/" 0 (List.length lint)
 
 (* ------------------------------------------------------------------ *)
 (* Properties: the release audit and the one-division α-DP scan        *)
